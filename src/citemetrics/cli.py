@@ -9,6 +9,7 @@ seven-column table. Exit codes: 0 success, 1 usage or input parse problems,
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import sys
 
@@ -89,15 +90,37 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _fault_line(path: str) -> str:
+    """``"line N: "`` for the first record of a CSV file that cannot be
+    decoded or parsed, found by reading the file again; ``""`` if none is."""
+    with open(path, newline="", encoding="utf-8", errors="surrogateescape") as fh:
+        reader = csv.reader(fh)
+        try:
+            for row in reader:
+                "".join(row).encode("utf-8")  # undecodable bytes came back as surrogates
+        except (csv.Error, UnicodeEncodeError):
+            return f"line {reader.line_num}: "
+    return ""
+
+
+def _read_csv(path: str, parse):
+    """Run one ingest parser over a CSV file. Bytes that are not UTF-8 and
+    records the csv module refuses (an oversized field, say) become a
+    ParseError naming the file and the line."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        try:
+            return parse(fh)
+        except UnicodeDecodeError as exc:
+            reason = f"not valid UTF-8 ({exc.reason})"
+        except csv.Error as exc:
+            reason = str(exc)
+    raise ParseError(f"{path}: {_fault_line(path)}{reason}")
+
+
 def cmd_ingest(args) -> int:
-    with open(args.pubs, newline="", encoding="utf-8") as fh:
-        ledger = parse_publications(fh)
-    with open(args.cites, newline="", encoding="utf-8") as fh:
-        records = parse_citations(fh)
-    alias_table = None
-    if args.aliases:
-        with open(args.aliases, newline="", encoding="utf-8") as fh:
-            alias_table = load_alias_table(fh)
+    ledger = _read_csv(args.pubs, parse_publications)
+    records = _read_csv(args.cites, parse_citations)
+    alias_table = _read_csv(args.aliases, load_alias_table) if args.aliases else None
 
     _, event_list = normalize_journal_names(records, alias_table)
     events, removed = deduplicate_events(event_list)

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import product
 from pathlib import Path
 from typing import Any, Mapping
 
@@ -74,14 +75,24 @@ def _triples(
 ) -> dict[Cell, int]:
     if not isinstance(value, list):
         raise FixtureError(f"{name} must be a list of [citation_year, pub_year, count] triples")
+    # One tight pass, since a fixture holds a triple per non-zero cell and
+    # this loop is most of the time spent loading a wide one: `type(v) is
+    # int` settles the usual case in one call and also excludes bool;
+    # _is_int runs only for other int subclasses.
+    cite_lo, cite_hi = cite_years
+    pub_lo, pub_hi = pub_years
     out: dict[Cell, int] = {}
     for entry in value:
-        if not (isinstance(entry, list) and len(entry) == 3 and all(_is_int(v) for v in entry)):
+        if not isinstance(entry, list) or len(entry) != 3:
             raise FixtureError(f"{name} entry {entry!r} is not an integer triple")
         k, i, count = entry
-        if not cite_years[0] <= k <= cite_years[1]:
+        if not (type(k) is int and type(i) is int and type(count) is int) and not (
+            _is_int(k) and _is_int(i) and _is_int(count)
+        ):
+            raise FixtureError(f"{name} entry {entry!r} is not an integer triple")
+        if not cite_lo <= k <= cite_hi:
             raise FixtureError(f"{name} entry {entry!r}: citation year {k} outside {cite_years}")
-        if not pub_years[0] <= i <= pub_years[1]:
+        if not pub_lo <= i <= pub_hi:
             raise FixtureError(f"{name} entry {entry!r}: publication year {i} outside {pub_years}")
         if count < 0:
             raise FixtureError(f"{name} entry {entry!r}: negative count")
@@ -89,9 +100,10 @@ def _triples(
             raise FixtureError(
                 f"{name} entry {entry!r}: citation year precedes publication year"
             )
-        if (k, i) in out:
+        cell = (k, i)
+        if cell in out:
             raise FixtureError(f"{name} has two entries for cell ({k}, {i})")
-        out[(k, i)] = count
+        out[cell] = count
     return out
 
 
@@ -125,7 +137,8 @@ def load_document(doc: Any) -> MatrixFixture:
         raise FixtureError("publications must cover exactly the pub_years span")
 
     citations = _triples(doc["citations"], "citations", cite_years, pub_years, allow_backdated=True)
-    cells = {(k, i): 0 for k in year_range(cite_years) for i in year_range(pub_years)}
+    zero_grid = dict.fromkeys(product(year_range(cite_years), year_range(pub_years)), 0)
+    cells = zero_grid.copy()
     cells.update(citations)
     matrix = PubCitMatrix(pub_years, cite_years, PublicationLedger(counts), cells)
 
@@ -138,7 +151,7 @@ def load_document(doc: Any) -> MatrixFixture:
                 raise FixtureError(
                     f"{field} cell {list(cell)}: unique count {u} exceeds {cells[cell]} citations"
                 )
-        filled = {cell: 0 for cell in cells}
+        filled = zero_grid.copy()
         filled.update(unique)
         return AugmentedMatrix(variant, filled, matrix)
 
@@ -176,12 +189,30 @@ def to_document(
     return doc
 
 
+def _object_without_duplicates(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
+    obj = dict(pairs)
+    if len(obj) != len(pairs):
+        seen = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise FixtureError(f"duplicate key {key!r} in a JSON object")
+            seen.add(key)
+    return obj
+
+
 def load_fixture(path: str | Path) -> MatrixFixture:
+    """Read and validate a fixture file.
+
+    Beyond :func:`load_document`'s checks, a key repeated within one JSON
+    object is rejected rather than letting the last value win.
+    """
     with open(path, encoding="utf-8") as fh:
         try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
+            doc = json.load(fh, object_pairs_hook=_object_without_duplicates)
+        except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
             raise FixtureError(f"{path}: not valid JSON ({exc})") from None
+        except FixtureError as exc:
+            raise FixtureError(f"{path}: {exc}") from None
     return load_document(doc)
 
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 from .ingest import CitationEvent, JournalId, PublicationLedger
 
@@ -62,6 +62,19 @@ class PubCitMatrix:
     def cit(self, citation_year: int, pub_year: int) -> int:
         return self.citations[self._check_cell(citation_year, pub_year)]
 
+    def window_sum(self, cells: Sequence[Cell], values: Mapping[Cell, int] | None = None) -> int:
+        """Sum ``values`` (by default the citations) over a window of cells.
+
+        A window is one row, one column or a rectangle of the grid, listed
+        from one corner to the opposite one. The grid is dense, so checking
+        the two end cells bounds every cell between them: a window reaching
+        off the grid raises ValueError, like a single-cell read.
+        """
+        if cells:
+            self._check_cell(*cells[0])
+            self._check_cell(*cells[-1])
+        return sum(map((self.citations if values is None else values).__getitem__, cells))
+
     def pub(self, year: int) -> int:
         lo, hi = self.pub_years
         if not lo <= year <= hi:
@@ -76,11 +89,11 @@ class PubCitMatrix:
 
     def column_total(self, pub_year: int) -> int:
         """All citations received by one publication year."""
-        return sum(self.cit(k, pub_year) for k in year_range(self.cite_years))
+        return self.window_sum([(k, pub_year) for k in year_range(self.cite_years)])
 
     def row_total(self, citation_year: int) -> int:
         """All citations given in one citation year."""
-        return sum(self.cit(citation_year, i) for i in year_range(self.pub_years))
+        return self.window_sum([(citation_year, i) for i in year_range(self.pub_years)])
 
 
 @dataclass(frozen=True)

@@ -22,6 +22,7 @@ first-appearance journal counts by publications (JDF) or by citations (RDF,
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -91,6 +92,23 @@ def _undefined(message: str, missing: Sequence[int] = ()) -> None:
     raise UndefinedMetricError(message, missing_years=tuple(missing))
 
 
+def _year_runs(years: Iterable[int]) -> str:
+    """Distinct years as sorted runs of consecutive years, ``"2002–2003, 2011"``,
+    so a message stays one short line however long the window."""
+    ys = sorted(years)
+    runs = []
+    start = 0
+    while start < len(ys):
+        # ys[j] - ys[start] - (j - start) never decreases and is 0 exactly
+        # within the run that begins at start: bisect for the run's end.
+        end = start + bisect_right(
+            range(start, len(ys)), 0, key=lambda j: ys[j] - ys[start] - (j - start)
+        )
+        runs.append(str(ys[start]) if end == start + 1 else f"{ys[start]}–{ys[end - 1]}")
+        start = end
+    return ", ".join(runs)
+
+
 def _backward_years(
     matrix: PubCitMatrix, year: int, window: int | None, clip: bool, newest_offset: int
 ) -> list[int]:
@@ -123,7 +141,8 @@ def _backward_years(
     missing = [y for y in wanted if not pub_lo <= y <= pub_hi]
     if missing:
         _undefined(
-            f"publication years {missing} are outside {pub_lo}-{pub_hi} and clipping is off",
+            f"publication years {_year_runs(missing)} are outside {pub_lo}-{pub_hi} "
+            "and clipping is off",
             missing,
         )
     return wanted
@@ -156,7 +175,8 @@ def _forward_years(
     missing = [k for k in wanted if not cite_lo <= k <= cite_hi]
     if missing:
         _undefined(
-            f"citation years {missing} are outside {cite_lo}-{cite_hi} and clipping is off",
+            f"citation years {_year_runs(missing)} are outside {cite_lo}-{cite_hi} "
+            "and clipping is off",
             missing,
         )
     return wanted
@@ -196,14 +216,14 @@ def garfield_if(matrix: PubCitMatrix, year: int) -> MetricValue:
     if missing:
         _undefined(
             f"impact factor for {year} needs publications in {year - 2} and {year - 1}; "
-            f"{missing} outside {pub_lo}-{pub_hi}",
+            f"{_year_runs(missing)} outside {pub_lo}-{pub_hi}",
             missing,
         )
     denominator = matrix.pub(year - 1) + matrix.pub(year - 2)
     if denominator == 0:
         _undefined(f"no articles were published in {year - 2}-{year - 1}", prior)
     cells = tuple((year, y) for y in prior)
-    numerator = sum(matrix.cit(*cell) for cell in cells)
+    numerator = matrix.window_sum(cells)
     return MetricValue(numerator, denominator, cells)
 
 
@@ -214,9 +234,9 @@ def sync_if(matrix: PubCitMatrix, year: int, window: int | None, *, clip: bool =
     years = _backward_years(matrix, year, window, clip, newest_offset=1)
     denominator = sum(matrix.pub(i) for i in years)
     if denominator == 0:
-        _undefined(f"no articles were published in {sorted(years)}", years)
+        _undefined(f"no articles were published in {_year_runs(years)}", years)
     cells = tuple((year, i) for i in years)
-    numerator = sum(matrix.cit(*cell) for cell in cells)
+    numerator = matrix.window_sum(cells)
     return MetricValue(numerator, denominator, cells)
 
 
@@ -236,7 +256,7 @@ def diach_if(
     _require_publication_year(matrix, year, need_articles=True)
     citing = _forward_years(matrix, year, window, shift, clip)
     cells = tuple((k, year) for k in citing)
-    numerator = sum(matrix.cit(*cell) for cell in cells)
+    numerator = matrix.window_sum(cells)
     return MetricValue(numerator, matrix.pub(year), cells)
 
 
@@ -252,9 +272,9 @@ def sync_jdf(
     years = _backward_years(matrix, year, window, clip, newest_offset=0)
     denominator = sum(matrix.pub(i) for i in years)
     if denominator == 0:
-        _undefined(f"no articles were published in {sorted(years)}", years)
+        _undefined(f"no articles were published in {_year_runs(years)}", years)
     cells = tuple((year, i) for i in years)
-    numerator = sum(augmented.unique(*cell) for cell in cells)
+    numerator = matrix.window_sum(cells, augmented.unique_new)
     return MetricValue(numerator, denominator, cells)
 
 
@@ -268,10 +288,10 @@ def sync_rdf(
     _require_citation_year(matrix, year)
     years = _backward_years(matrix, year, window, clip, newest_offset=0)
     cells = tuple((year, i) for i in years)
-    denominator = sum(matrix.cit(*cell) for cell in cells)
+    denominator = matrix.window_sum(cells)
     if denominator == 0:
         _undefined(f"no citations were made in {year} within the window", [year])
-    numerator = sum(augmented.unique(*cell) for cell in cells)
+    numerator = matrix.window_sum(cells, augmented.unique_new)
     return MetricValue(numerator, denominator, cells)
 
 
@@ -285,7 +305,7 @@ def diach_jdf(
     _require_publication_year(matrix, year, need_articles=True)
     citing = _forward_years(matrix, year, window, shift=0, clip=clip)
     cells = tuple((k, year) for k in citing)
-    numerator = sum(augmented.unique(*cell) for cell in cells)
+    numerator = matrix.window_sum(cells, augmented.unique_new)
     return MetricValue(numerator, matrix.pub(year), cells)
 
 
@@ -299,10 +319,10 @@ def diach_rdf(
     _require_publication_year(matrix, year, need_articles=False)
     citing = _forward_years(matrix, year, window, shift=0, clip=clip)
     cells = tuple((k, year) for k in citing)
-    denominator = sum(matrix.cit(*cell) for cell in cells)
+    denominator = matrix.window_sum(cells)
     if denominator == 0:
         _undefined(f"articles published in {year} received no citations in the window", [year])
-    numerator = sum(augmented.unique(*cell) for cell in cells)
+    numerator = matrix.window_sum(cells, augmented.unique_new)
     return MetricValue(numerator, denominator, cells)
 
 
@@ -328,7 +348,7 @@ def rowlands_jdf(
     if pub_clipped[0] > pub_clipped[1] or cite_clipped[0] > cite_clipped[1]:
         _undefined("the requested block has no overlap with the matrix year spans")
     cells = tuple((k, i) for k in year_range(cite_clipped) for i in year_range(pub_clipped))
-    denominator = sum(matrix.cit(*cell) for cell in cells)
+    denominator = matrix.window_sum(cells)
     if denominator == 0:
         _undefined("no citations fall inside the block")
     numerator = 100 * distinct_journals_block(events, pub_clipped, cite_clipped)

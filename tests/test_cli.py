@@ -96,6 +96,47 @@ class TestIngest:
         assert code == 1
         assert "line 3" in capsys.readouterr().err
 
+    def test_non_utf8_citations_exit_1_with_file_and_line(self, corpus, capsys):
+        pubs, cites, out = corpus
+        cites.write_bytes(
+            b"cited_article_id,cited_pub_year,citing_journal,citing_year\n"
+            b"a1,2004,Lancet,2005\n"
+            b"a1,2004,Lanc\xe9t,2005\n"
+        )
+        code = main(["ingest", "--pubs", str(pubs), "--cites", str(cites), "--matrix", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"citemetrics: error: {cites}: line 3: not valid UTF-8")
+        assert "Traceback" not in err and err.count("\n") == 1
+        assert not out.exists()
+
+    def test_non_utf8_publications_exit_1(self, corpus, capsys):
+        pubs, cites, out = corpus
+        pubs.write_bytes(b"year,count\n2004,3\xff\n")
+        assert main(["ingest", "--pubs", str(pubs), "--cites", str(cites), "--matrix", str(out)]) == 1
+        assert f"{pubs}: line 2: not valid UTF-8" in capsys.readouterr().err
+
+    def test_oversized_field_exits_1_with_file_and_line(self, corpus, capsys):
+        pubs, cites, out = corpus
+        cites.write_text(
+            "cited_article_id,cited_pub_year,citing_journal,citing_year\n"
+            "a1,2004,Lancet,2005\n"
+            f'a1,2004,"{"x" * 140_000}",2005\n'
+        )
+        code = main(["ingest", "--pubs", str(pubs), "--cites", str(cites), "--matrix", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"citemetrics: error: {cites}: line 3: field larger than field limit")
+        assert err.count("\n") == 1
+
+    def test_oversized_alias_field_exits_1(self, corpus, capsys):
+        pubs, cites, out = corpus
+        aliases = pubs.parent / "aliases.csv"
+        aliases.write_text(f'raw,canonical\n"{"y" * 140_000}",lancet\n')
+        argv = ["ingest", "--pubs", str(pubs), "--cites", str(cites), "--aliases", str(aliases), "--matrix", str(out)]
+        assert main(argv) == 1
+        assert f"{aliases}: line 2: field larger" in capsys.readouterr().err
+
 
 class TestMetric:
     def test_text_output_carries_the_exact_fraction(self, capsys):
@@ -165,6 +206,31 @@ class TestMetric:
         code = main(["metric", "--matrix", str(bad), "--kind", "sync_if", "--year", "2009", "--window", "2"])
         assert code == 3
         assert "bad fixture" in capsys.readouterr().err
+
+    def test_long_missing_year_list_renders_as_runs(self, capsys):
+        argv = ["metric", "--matrix", MJM, "--kind", "diach_if", "--year", "2006", "--window", "100000", "--no-clip"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err == (
+            "citemetrics: undefined: citation years 2011–102006 are outside 2004-2010 "
+            "and clipping is off\n"
+        )
+
+    def test_duplicate_key_in_fixture_exits_3(self, tmp_path, capsys):
+        text = (DATA / "mjm_fixture.json").read_text()
+        assert '"2004": 139' in text
+        dup = tmp_path / "dup.json"
+        dup.write_text(text.replace('"2004": 139', '"2004": 99, "2004": 139', 1))
+        code = main(["metric", "--matrix", str(dup), "--kind", "sync_if", "--year", "2009", "--window", "2"])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err == f"citemetrics: bad fixture: {dup}: duplicate key '2004' in a JSON object\n"
+
+    def test_non_utf8_fixture_exits_3(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(b'{"pub_years": "\xff"}')
+        assert main(["report", "--matrix", str(bad)]) == 3
+        assert "not valid JSON" in capsys.readouterr().err
 
     def test_missing_fixture_file_exits_1(self, tmp_path, capsys):
         code = main(["metric", "--matrix", str(tmp_path / "none.json"), "--kind", "sync_if", "--year", "2009", "--window", "2"])

@@ -189,3 +189,107 @@ def test_bundled_dataset_loads(mjm):
     assert mjm.diach.unique(2010, 2004) == 11
     assert mjm.matrix.column_total(2004) == 409
     assert mjm.matrix.row_total(2009) == 310
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [
+        [2005, 2004, 1.0],  # float count
+        "abc",  # a 3-character string unpacks into three items
+        (2005, 2004, 1),  # tuple, not a JSON array
+        [2005, 2004],
+        [2005, 2004, 1, 1],
+        None,
+        [2005, [2004], 1],
+        [2005, 2004, False],
+    ],
+)
+def test_citation_entry_must_be_an_integer_triple(entry):
+    doc = _small_doc()
+    doc["citations"].append(entry)
+    with pytest.raises(FixtureError, match="is not an integer triple"):
+        load_document(doc)
+
+
+@pytest.mark.parametrize("entry", ["abc", (2005, 2004, 1), [2005, 2004, 1.0], None])
+def test_unique_entry_must_be_an_integer_triple(entry):
+    doc = _small_doc()
+    doc["unique_new_diach"].append(entry)
+    with pytest.raises(FixtureError, match="unique_new_diach entry .* is not an integer triple"):
+        load_document(doc)
+
+
+def test_int_subclasses_other_than_bool_are_counts():
+    class Count(int):
+        pass
+
+    doc = _small_doc()
+    doc["citations"][0] = [Count(2005), 2004, Count(2)]
+    assert load_document(doc).matrix.cit(2005, 2004) == 2
+
+
+def test_list_subclass_entries_are_triples():
+    class Entry(list):
+        pass
+
+    doc = _small_doc()
+    doc["citations"][0] = Entry([2005, 2004, 2])
+    assert load_document(doc).matrix.cit(2005, 2004) == 2
+
+
+def test_backdated_diachronous_unique_rejected():
+    doc = _small_doc()
+    doc["citations"].append([2004, 2005, 1])
+    doc["unique_new_diach"].append([2004, 2005, 1])
+    with pytest.raises(FixtureError, match="unique_new_diach entry .*precedes"):
+        load_document(doc)
+
+
+def test_diachronous_unique_cannot_exceed_citations():
+    doc = _small_doc()
+    doc["unique_new_diach"][1] = [2006, 2005, 2]  # cell only has 1 citation
+    with pytest.raises(FixtureError, match=r"unique_new_diach cell \[2006, 2005\]: unique count 2 exceeds 1"):
+        load_document(doc)
+
+
+def test_unique_cell_without_citations_rejected():
+    doc = _small_doc()
+    doc["unique_new_sync"].append([2004, 2004, 1])  # zero-filled cell
+    with pytest.raises(FixtureError, match="exceeds 0 citations"):
+        load_document(doc)
+
+
+def test_first_bad_entry_decides_the_message():
+    doc = _small_doc()
+    doc["citations"] += [[2005, 2004, 9], [2005, 2004, -1]]
+    with pytest.raises(FixtureError, match="two entries for cell"):
+        load_document(doc)
+
+
+def test_zero_filled_grids_are_independent():
+    fx = load_document(_small_doc())
+    assert fx.matrix.citations is not fx.sync.unique_new
+    assert fx.sync.unique_new is not fx.diach.unique_new
+    assert set(fx.sync.unique_new) == set(fx.matrix.citations) == set(fx.diach.unique_new)
+    assert fx.sync.unique(2004, 2005) == 0
+
+
+def test_load_fixture_rejects_duplicate_keys(tmp_path):
+    path = tmp_path / "dup.json"
+    text = json.dumps(_small_doc()).replace('"2004": 3', '"2004": 99, "2004": 3')
+    path.write_text(text)
+    with pytest.raises(FixtureError, match="duplicate key '2004'"):
+        load_fixture(path)
+    path.write_text('{"citations": [], ' + json.dumps(_small_doc())[1:])
+    with pytest.raises(FixtureError, match="duplicate key 'citations'"):
+        load_fixture(path)
+
+
+def test_load_fixture_rejects_undecodable_and_deeply_nested_files(tmp_path):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b'{"pub_years": "\xe9"}')
+    with pytest.raises(FixtureError, match="not valid JSON"):
+        load_fixture(path)
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    with pytest.raises(FixtureError, match="not valid JSON"):
+        load_fixture(path)

@@ -73,6 +73,36 @@ def test_cell_access_outside_grid_raises():
         m.pub(2007)
 
 
+def test_window_sum_matches_cell_reads():
+    rng = random.Random(7)
+    for _ in range(20):
+        events, ledger, pub_span, cite_span = random_corpus(rng)
+        matrix, sync, diach = build_all(events, ledger, pub_span, cite_span)
+        windows = [[(k, i) for i in year_range(pub_span)] for k in year_range(cite_span)]
+        windows += [[(k, i) for k in year_range(cite_span)] for i in year_range(pub_span)]
+        windows.append([(k, i) for k in year_range(cite_span) for i in year_range(pub_span)])
+        for cells in windows:
+            assert matrix.window_sum(cells) == sum(matrix.cit(*cell) for cell in cells)
+            assert matrix.window_sum(cells, sync.unique_new) == sum(sync.unique(*c) for c in cells)
+            assert matrix.window_sum(cells, diach.unique_new) == sum(diach.unique(*c) for c in cells)
+    assert matrix.window_sum([]) == 0
+
+
+@pytest.mark.parametrize(
+    "cells",
+    [
+        [(2004, 2003), (2004, 2004)],  # first cell off the grid
+        [(2010, 2008), (2011, 2008)],  # last cell off the grid
+        [(2003, 2004)],
+    ],
+)
+def test_window_sum_off_the_grid_raises(mjm, cells):
+    with pytest.raises(ValueError, match="outside the matrix"):
+        mjm.matrix.window_sum(cells)
+    with pytest.raises(ValueError, match="outside the matrix"):
+        mjm.matrix.window_sum(cells, mjm.diach.unique_new)
+
+
 class TestSynchronousScan:
     def test_journal_lands_on_newest_cited_year_in_its_row(self):
         # one journal cites 2004 and 2006 articles during 2007

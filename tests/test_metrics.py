@@ -8,6 +8,7 @@ from citemetrics.ingest import PublicationLedger
 from citemetrics.matrix import year_range
 from citemetrics.metrics import (
     MetricRequest,
+    _year_runs,
     diach_if,
     diach_jdf,
     diach_rdf,
@@ -93,6 +94,22 @@ class TestSyncIF:
         with pytest.raises(UndefinedMetricError) as err:
             sync_if(mjm.matrix, 2005, 2, clip=False)
         assert err.value.missing_years == (2003,)
+
+    def test_long_window_message_lists_runs_not_years(self, mjm):
+        with pytest.raises(UndefinedMetricError) as err:
+            sync_if(mjm.matrix, 2005, 1000, clip=False)
+        assert err.value.missing_years == tuple(range(2003, 2004 - 1000, -1))
+        assert str(err.value) == (
+            "publication years 1005–2003 are outside 2004-2008 and clipping is off"
+        )
+
+    def test_empty_window_message_renders_a_run(self):
+        m, _, _ = build_all(
+            [], PublicationLedger({2004: 0, 2005: 0, 2006: 5, 2007: 0}), (2004, 2007), (2004, 2008)
+        )
+        with pytest.raises(UndefinedMetricError) as err:
+            sync_if(m, 2006, 2)
+        assert str(err.value) == "no articles were published in 2004–2005"
 
     def test_max_window_reaches_the_whole_span(self, mjm):
         v = sync_if(mjm.matrix, 2010, None)
@@ -384,3 +401,19 @@ def test_random_matrices_keep_rdf_in_bounds():
             assert 0 < v.value <= 1
             checked += 1
     assert checked > 50
+
+
+def test_year_runs_match_a_linear_scan():
+    def scan(years):
+        runs = []
+        for year in sorted(years):
+            if runs and year == runs[-1][1] + 1:
+                runs[-1][1] = year
+            else:
+                runs.append([year, year])
+        return ", ".join(str(lo) if lo == hi else f"{lo}–{hi}" for lo, hi in runs)
+
+    rng = random.Random(11)
+    for _ in range(500):
+        years = rng.sample(range(1990, 2030), rng.randint(0, 25))
+        assert _year_runs(years) == scan(years)
