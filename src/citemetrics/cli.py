@@ -20,15 +20,8 @@ from .errors import (
     UndefinedMetricError,
 )
 from .fixture import load_fixture, save_fixture
-from .ingest import (
-    backdated_records,
-    deduplicate_events,
-    load_alias_table,
-    normalize_journal_names,
-    parse_citations,
-    parse_publications,
-)
-from .matrix import augment_diachronous, augment_synchronous, build_pc_matrix
+from .ingest import index_citations, load_alias_table, parse_publications
+from .matrix import DIACHRONOUS, SYNCHRONOUS, augment, matrix_from_counts
 from .metrics import MetricRequest, evaluate
 from .report import build_report, format_ratio, render_csv, render_structured, render_table
 
@@ -119,33 +112,27 @@ def _read_csv(path: str, parse):
 
 def cmd_ingest(args) -> int:
     ledger = _read_csv(args.pubs, parse_publications)
-    records = _read_csv(args.cites, parse_citations)
     alias_table = _read_csv(args.aliases, load_alias_table) if args.aliases else None
-
-    _, event_list = normalize_journal_names(records, alias_table)
-    events, removed = deduplicate_events(event_list)
-    backdated = backdated_records(records)
+    index = _read_csv(args.cites, lambda fh: index_citations(fh, alias_table))
 
     if ledger.years is None:
         raise ParseError("publications file contains no data rows")
     pub_span = ledger.years
-    if events:
-        cite_span = (min(e.citing_year for e in events), max(e.citing_year for e in events))
-    else:
-        cite_span = pub_span
+    cite_span = index.cite_years or pub_span
 
-    matrix = build_pc_matrix(events, ledger, pub_span, cite_span)
-    sync = augment_synchronous(matrix, events)
-    diach = augment_diachronous(matrix, events)
+    matrix = matrix_from_counts(index.cell_counts, ledger, pub_span, cite_span)
+    sync = augment(matrix, index.cell_journals, SYNCHRONOUS)
+    diach = augment(matrix, index.cell_journals, DIACHRONOUS)
     save_fixture(args.matrix, matrix, sync, diach)
 
+    backdated = index.backdated_lines
     print(f"wrote {args.matrix}")
-    print(f"citation rows parsed: {len(records)}")
-    print(f"duplicate rows removed: {removed}")
+    print(f"citation rows parsed: {index.rows}")
+    print(f"duplicate rows removed: {index.duplicates}")
     print(f"events outside the matrix years (clipped): {matrix.n_clipped}")
     note = f"citations dated before publication (kept): {len(backdated)}"
     if backdated:
-        lines = ", ".join(str(r.source_line) for r in backdated[:20])
+        lines = ", ".join(map(str, backdated[:20]))
         more = " ..." if len(backdated) > 20 else ""
         note += f" [lines {lines}{more}]"
     print(note)

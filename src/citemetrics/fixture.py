@@ -17,6 +17,9 @@ fixture fails loudly instead of silently dropping data.
 from __future__ import annotations
 
 import json
+import os
+import secrets
+from contextlib import suppress
 from dataclasses import dataclass
 from itertools import product
 from pathlib import Path
@@ -222,7 +225,23 @@ def save_fixture(
     sync: AugmentedMatrix | None = None,
     diach: AugmentedMatrix | None = None,
 ) -> None:
+    """Write a fixture file.
+
+    The document goes to a new temporary file beside ``path``, which then
+    replaces ``path`` in one rename, so a write that fails part way leaves
+    any previous fixture as it was.
+    """
     doc = to_document(matrix, sync, diach)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
+    directory, name = os.path.split(os.fspath(path))
+    tmp = os.path.join(directory, f".{name}.{secrets.token_hex(8)}.tmp")
+    # Mode 0o666 leaves the permissions to the umask, as open(path, "w") does.
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        with open(fd, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh, indent=2)
+            fh.write("\n")
+        os.replace(tmp, path)
+    except BaseException:
+        with suppress(OSError):
+            os.unlink(tmp)
+        raise

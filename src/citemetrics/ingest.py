@@ -5,6 +5,10 @@ publication ledger plus a clean set of citation events:
 
     parse_records -> normalize_journal_names -> deduplicate_events
 
+:func:`index_citations` does the same work on the citations file in one
+pass and keeps only per-cell tallies; the step functions above are the
+reference it is tested against.
+
 Citing-journal names arrive as free text, and distinct spellings of one
 journal would inflate every unique-journal indicator downstream, so names are
 normalized before any counting. Normalization is deliberately conservative
@@ -17,7 +21,7 @@ from __future__ import annotations
 import csv
 import string
 from dataclasses import dataclass, field
-from typing import IO, Iterable, Mapping
+from typing import IO, Iterable, Iterator, Mapping
 
 from .errors import AliasTableError, ParseError
 
@@ -176,13 +180,10 @@ def _parse_publication_articles(reader) -> dict[int, int]:
     return counts
 
 
-def parse_citations(stream: IO[str]) -> list[RawCitationRecord]:
-    """Parse a citations CSV into raw records, one per data row.
-
-    The header decides whether the optional ``citing_article_id`` column is
-    present; when it is, an empty cell means "identifier unknown". Rows are
-    kept in file order and remember their line number for later diagnostics.
-    """
+def _citation_rows(stream: IO[str]) -> Iterator[tuple[int, str, int, str, int, str | None]]:
+    """Yield ``(line, cited_article_id, cited_pub_year, citing_journal_raw,
+    citing_year, citing_article_id)`` for each data row of a citations CSV,
+    after every header, width, year and empty-field check."""
     reader = csv.reader(stream)
     try:
         header = _header(next(reader))
@@ -198,7 +199,9 @@ def parse_citations(stream: IO[str]) -> list[RawCitationRecord]:
             "'cited_article_id,cited_pub_year,citing_journal,citing_year[,citing_article_id]'",
             line=1,
         )
-    records = []
+    # A corpus repeats a few dozen year strings over all its rows, so each
+    # distinct string is checked and converted once.
+    years: dict[str, int] = {}
     for row in reader:
         if not row:
             continue
@@ -206,24 +209,34 @@ def parse_citations(stream: IO[str]) -> list[RawCitationRecord]:
         cells = _cells(row)
         if len(cells) != width:
             raise ParseError(f"expected {width} fields, got {len(cells)}", line=line)
-        if not cells[0]:
+        cited_article_id, pub_text, journal, cite_text = cells[:4]
+        if not cited_article_id:
             raise ParseError("cited_article_id is empty", line=line, column="cited_article_id")
-        cited_pub_year = _parse_year(cells[1], line=line, column="cited_pub_year")
-        if not cells[2]:
+        cited_pub_year = years.get(pub_text)
+        if cited_pub_year is None:
+            cited_pub_year = _parse_year(pub_text, line=line, column="cited_pub_year")
+            years[pub_text] = cited_pub_year
+        if not journal:
             raise ParseError("citing_journal is empty", line=line, column="citing_journal")
-        citing_year = _parse_year(cells[3], line=line, column="citing_year")
+        citing_year = years.get(cite_text)
+        if citing_year is None:
+            citing_year = _parse_year(cite_text, line=line, column="citing_year")
+            years[cite_text] = citing_year
         citing_article_id = (cells[4] or None) if width == 5 else None
-        records.append(
-            RawCitationRecord(
-                cited_article_id=cells[0],
-                cited_pub_year=cited_pub_year,
-                citing_journal_raw=cells[2],
-                citing_year=citing_year,
-                citing_article_id=citing_article_id,
-                source_line=line,
-            )
-        )
-    return records
+        yield line, cited_article_id, cited_pub_year, journal, citing_year, citing_article_id
+
+
+def parse_citations(stream: IO[str]) -> list[RawCitationRecord]:
+    """Parse a citations CSV into raw records, one per data row.
+
+    The header decides whether the optional ``citing_article_id`` column is
+    present; when it is, an empty cell means "identifier unknown". Rows are
+    kept in file order and remember their line number for later diagnostics.
+    """
+    return [
+        RawCitationRecord(cited, pub_year, journal, cite_year, citing_id, line)
+        for line, cited, pub_year, journal, cite_year, citing_id in _citation_rows(stream)
+    ]
 
 
 def parse_records(pub_stream: IO[str], cite_stream: IO[str]) -> tuple[PublicationLedger, list[RawCitationRecord]]:
@@ -347,3 +360,82 @@ def backdated_records(records: Iterable[RawCitationRecord]) -> list[RawCitationR
     and callers decide whether to report them.
     """
     return [r for r in records if r.citing_year < r.cited_pub_year]
+
+
+@dataclass(frozen=True)
+class CitationIndex:
+    """What one pass over a citations CSV leaves behind.
+
+    ``cell_counts`` and ``cell_journals`` are keyed by (citing year, cited
+    publication year) and cover every distinct event, including those whose
+    cell will fall outside the matrix; journals are interned ints, one per
+    canonical name. ``cite_years`` spans the citing years of those events
+    (None when there are none); ``backdated_lines`` lists, in file order,
+    the line of every row citing before its publication year, duplicates
+    included, as :func:`backdated_records` does.
+    """
+
+    rows: int
+    duplicates: int
+    backdated_lines: list[int]
+    cite_years: tuple[int, int] | None
+    cell_counts: dict[tuple[int, int], int]
+    cell_journals: dict[tuple[int, int], set[int]]
+
+
+def index_citations(stream: IO[str], alias_table: Mapping[str, str] | None = None) -> CitationIndex:
+    """Parse, normalize, deduplicate and tally a citations CSV in one pass.
+
+    Reads each row once and keeps only per-cell tallies, not the rows: the
+    same result as :func:`parse_citations`, :func:`normalize_journal_names`,
+    :func:`deduplicate_events` and :func:`backdated_records` in sequence,
+    which remain the reference it is tested against. Every check and
+    message is theirs, in the same order: a row whose journal name
+    normalizes to empty is reported only after the whole file has parsed.
+    """
+    overrides = _normalize_alias_table(alias_table) if alias_table else {}
+    journal_ids: dict[str, int] = {}  # canonical name -> interned id
+    spellings: dict[str, int] = {}  # raw spelling -> interned id
+    seen: set[tuple] = set()
+    counts: dict[tuple[int, int], int] = {}
+    journals: dict[tuple[int, int], set[int]] = {}
+    backdated: list[int] = []
+    rows = 0
+    empty_line = None
+    for line, cited, pub_year, raw, cite_year, citing_id in _citation_rows(stream):
+        rows += 1
+        if cite_year < pub_year:
+            backdated.append(line)
+        journal = spellings.get(raw)
+        if journal is None:
+            base = normalize_journal_name(raw)
+            canonical = overrides.get(base, base)
+            if not canonical:
+                if empty_line is None:
+                    empty_line = line
+                continue
+            journal = spellings[raw] = journal_ids.setdefault(canonical, len(journal_ids))
+        key = (cited, pub_year, journal, cite_year, citing_id)
+        if key in seen:
+            continue
+        seen.add(key)
+        cell = (cite_year, pub_year)
+        here = journals.get(cell)
+        if here is None:
+            counts[cell] = 1
+            journals[cell] = {journal}
+        else:
+            counts[cell] += 1
+            here.add(journal)
+    if empty_line is not None:
+        raise ParseError(
+            "journal name is empty after normalization", line=empty_line, column="citing_journal"
+        )
+    return CitationIndex(
+        rows=rows,
+        duplicates=rows - len(seen),
+        backdated_lines=backdated,
+        cite_years=(min(counts)[0], max(counts)[0]) if counts else None,
+        cell_counts=counts,
+        cell_journals=journals,
+    )

@@ -131,6 +131,18 @@ def build_pc_matrix(
     dropped and counted in ``n_clipped``. The ledger must supply a count for
     every publication year of the grid.
     """
+    counts = Counter((event.citing_year, event.cited_pub_year) for event in events)
+    return matrix_from_counts(counts, ledger, pub_years, cite_years)
+
+
+def matrix_from_counts(
+    counts: Mapping[Cell, int],
+    ledger: PublicationLedger,
+    pub_years: YearSpan,
+    cite_years: YearSpan,
+) -> PubCitMatrix:
+    """Lay per-cell event counts onto the grid, as :func:`build_pc_matrix`
+    does with the events themselves."""
     pub_years = _check_span(pub_years, "publication year")
     cite_years = _check_span(cite_years, "citation year")
     for year in year_range(pub_years):
@@ -138,12 +150,11 @@ def build_pc_matrix(
             raise ValueError(f"publication ledger has no count for {year}")
     cells = {(k, i): 0 for k in year_range(cite_years) for i in year_range(pub_years)}
     clipped = 0
-    for event in events:
-        cell = (event.citing_year, event.cited_pub_year)
+    for cell, n in counts.items():
         if cell in cells:
-            cells[cell] += 1
+            cells[cell] += n
         else:
-            clipped += 1
+            clipped += n
     return PubCitMatrix(pub_years, cite_years, ledger, cells, n_clipped=clipped)
 
 
@@ -163,34 +174,49 @@ def _journals_per_cell(
     return journals
 
 
+def augment(matrix: PubCitMatrix, journals: Mapping[Cell, set], variant: str) -> AugmentedMatrix:
+    """Count first-appearance journals along each scan line of ``variant``.
+
+    ``journals`` maps a cell to the journals citing there, in any hashable
+    form; cells outside the grid are ignored. A synchronous line is one
+    citation-year row read from the newest publication year backwards; a
+    diachronous line is one publication-year column read forward in time.
+    Either way only cells on or below the diagonal are read.
+    """
+    (pub_lo, pub_hi), (cite_lo, cite_hi) = matrix.pub_years, matrix.cite_years
+    if variant == SYNCHRONOUS:
+        lines = (
+            [(k, i) for i in range(min(k, pub_hi), pub_lo - 1, -1)]
+            for k in range(cite_lo, cite_hi + 1)
+        )
+    elif variant == DIACHRONOUS:
+        lines = (
+            [(k, i) for k in range(max(i, cite_lo), cite_hi + 1)]
+            for i in range(pub_lo, pub_hi + 1)
+        )
+    else:
+        raise ValueError(f"unknown augmentation variant {variant!r}")
+    unique = dict.fromkeys(matrix.citations, 0)
+    for line in lines:
+        seen: set = set()
+        for cell in line:
+            here = journals.get(cell)
+            if here:
+                unique[cell] = len(here - seen)
+                seen |= here
+    return AugmentedMatrix(variant, unique, matrix)
+
+
 def augment_synchronous(matrix: PubCitMatrix, events: Iterable[CitationEvent]) -> AugmentedMatrix:
     """Count each journal once per citation year, at the newest publication
     year it cites within that year."""
-    journals = _journals_per_cell(matrix, events)
-    unique = {cell: 0 for cell in matrix.citations}
-    pub_lo, pub_hi = matrix.pub_years
-    for k in year_range(matrix.cite_years):
-        seen: set[JournalId] = set()
-        for i in range(min(k, pub_hi), pub_lo - 1, -1):
-            here = journals.get((k, i), ())
-            unique[(k, i)] = sum(1 for j in here if j not in seen)
-            seen.update(here)
-    return AugmentedMatrix(SYNCHRONOUS, unique, matrix)
+    return augment(matrix, _journals_per_cell(matrix, events), SYNCHRONOUS)
 
 
 def augment_diachronous(matrix: PubCitMatrix, events: Iterable[CitationEvent]) -> AugmentedMatrix:
     """Count each journal once per publication year, at the earliest year it
     cites that publication year."""
-    journals = _journals_per_cell(matrix, events)
-    unique = {cell: 0 for cell in matrix.citations}
-    cite_lo, cite_hi = matrix.cite_years
-    for i in year_range(matrix.pub_years):
-        seen: set[JournalId] = set()
-        for k in range(max(i, cite_lo), cite_hi + 1):
-            here = journals.get((k, i), ())
-            unique[(k, i)] = sum(1 for j in here if j not in seen)
-            seen.update(here)
-    return AugmentedMatrix(DIACHRONOUS, unique, matrix)
+    return augment(matrix, _journals_per_cell(matrix, events), DIACHRONOUS)
 
 
 def distinct_journals_block(

@@ -128,16 +128,18 @@ def _backward_years(
                 [newest],
             )
         return list(range(min(newest, pub_hi), pub_lo - 1, -1))
+    # The overlap with the span comes from the window's ends: listing the
+    # window first would cost memory in the window's length, not the span's.
+    hi, lo = min(newest, pub_hi), max(newest - window + 1, pub_lo)
+    if clip and lo <= hi:
+        return list(range(hi, lo - 1, -1))
     wanted = [newest - j for j in range(window)]
-    inside = [y for y in wanted if pub_lo <= y <= pub_hi]
     if clip:
-        if not inside:
-            _undefined(
-                f"window {wanted[-1]}-{wanted[0]} has no overlap with publication years "
-                f"{pub_lo}-{pub_hi}",
-                wanted,
-            )
-        return inside
+        _undefined(
+            f"window {wanted[-1]}-{wanted[0]} has no overlap with publication years "
+            f"{pub_lo}-{pub_hi}",
+            wanted,
+        )
     missing = [y for y in wanted if not pub_lo <= y <= pub_hi]
     if missing:
         _undefined(
@@ -162,16 +164,16 @@ def _forward_years(
                 [first],
             )
         return list(range(max(first, cite_lo), cite_hi + 1))
+    lo, hi = max(first, cite_lo), min(first + window - 1, cite_hi)
+    if clip and lo <= hi:
+        return list(range(lo, hi + 1))
     wanted = [first + j for j in range(window)]
-    inside = [k for k in wanted if cite_lo <= k <= cite_hi]
     if clip:
-        if not inside:
-            _undefined(
-                f"window {wanted[0]}-{wanted[-1]} has no overlap with citation years "
-                f"{cite_lo}-{cite_hi}",
-                wanted,
-            )
-        return inside
+        _undefined(
+            f"window {wanted[0]}-{wanted[-1]} has no overlap with citation years "
+            f"{cite_lo}-{cite_hi}",
+            wanted,
+        )
     missing = [k for k in wanted if not cite_lo <= k <= cite_hi]
     if missing:
         _undefined(

@@ -138,6 +138,55 @@ class TestIngest:
         assert f"{aliases}: line 2: field larger" in capsys.readouterr().err
 
 
+    def test_a_later_malformed_row_outranks_an_empty_journal_name(self, corpus, capsys):
+        pubs, cites, out = corpus
+        cites.write_text(
+            "cited_article_id,cited_pub_year,citing_journal,citing_year\n"
+            "a1,2004,Lancet,2005\n"
+            'a1,2004,"...",2005\n'
+            "a1,2004,Lancet,2005\n"
+            "a1,2004,Lancet,soon\n"
+        )
+        code = main(["ingest", "--pubs", str(pubs), "--cites", str(cites), "--matrix", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "citemetrics: error: line 5, column 'citing_year': expected a 4-digit year, got 'soon'\n"
+        )
+        assert not out.exists()
+
+    def test_empty_journal_name_reports_its_first_line(self, corpus, capsys):
+        pubs, cites, out = corpus
+        cites.write_text(
+            "cited_article_id,cited_pub_year,citing_journal,citing_year\n"
+            "a1,2004,Lancet,2005\n"
+            'a1,2004,"...",2005\n'
+            "a1,2004,Lancet,2006\n"
+            'a2,2004," ; ",2005\n'
+        )
+        code = main(["ingest", "--pubs", str(pubs), "--cites", str(cites), "--matrix", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "citemetrics: error: line 3, column 'citing_journal': "
+            "journal name is empty after normalization\n"
+        )
+        assert not out.exists()
+
+    def test_alias_file_is_read_before_the_citations(self, corpus, capsys):
+        pubs, cites, out = corpus
+        cites.write_text(
+            "cited_article_id,cited_pub_year,citing_journal,citing_year\n"
+            "a1,2004,Lancet,soon\n"
+        )
+        aliases = pubs.parent / "aliases.csv"
+        aliases.write_text("raw,canonical\nmjm,alpha\nMJM.,beta\n")
+        argv = ["ingest", "--pubs", str(pubs), "--cites", str(cites), "--aliases", str(aliases), "--matrix", str(out)]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == (
+            "citemetrics: error: alias 'mjm' maps to both 'alpha' and 'beta'\n"
+        )
+        assert not out.exists()
+
+
 class TestMetric:
     def test_text_output_carries_the_exact_fraction(self, capsys):
         code = main(["metric", "--matrix", MJM, "--kind", "diach_rdf", "--year", "2006", "--window", "5"])
@@ -215,6 +264,13 @@ class TestMetric:
             "citemetrics: undefined: citation years 2011–102006 are outside 2004-2010 "
             "and clipping is off\n"
         )
+
+    def test_clipped_window_of_1e11_years_matches_max(self, capsys):
+        argv = ["metric", "--matrix", MJM, "--kind", "diach_if", "--year", "2004", "--window"]
+        assert main(argv + ["max"]) == 0
+        expected = capsys.readouterr().out
+        assert main(argv + ["100000000000"]) == 0
+        assert capsys.readouterr().out == expected
 
     def test_duplicate_key_in_fixture_exits_3(self, tmp_path, capsys):
         text = (DATA / "mjm_fixture.json").read_text()

@@ -1,4 +1,7 @@
+import errno
 import json
+import os
+import stat
 
 import pytest
 
@@ -53,6 +56,39 @@ def test_round_trip_through_document(tmp_path):
     assert loaded.sync.unique_new == sync.unique_new
     assert loaded.diach.unique_new == diach.unique_new
 
+
+
+def test_save_writes_the_indented_document_and_no_stray_file(tmp_path, mjm):
+    path = tmp_path / "fx.json"
+    save_fixture(path, mjm.matrix, mjm.sync, mjm.diach)
+    doc = to_document(mjm.matrix, mjm.sync, mjm.diach)
+    assert path.read_text(encoding="utf-8") == json.dumps(doc, indent=2) + "\n"
+    assert os.listdir(tmp_path) == ["fx.json"]
+    umask = os.umask(0)
+    os.umask(umask)
+    assert stat.S_IMODE(path.stat().st_mode) == 0o666 & ~umask
+
+
+def test_failed_save_keeps_the_previous_fixture(tmp_path, mjm, monkeypatch):
+    path = tmp_path / "fx.json"
+    path.write_text("previous fixture")
+
+    def dump_then_fail(doc, fh, **kwargs):
+        fh.write('{"pub_years": [')
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    monkeypatch.setattr(json, "dump", dump_then_fail)
+    with pytest.raises(OSError, match="No space left"):
+        save_fixture(path, mjm.matrix, mjm.sync, mjm.diach)
+    assert path.read_text() == "previous fixture"
+    assert os.listdir(tmp_path) == ["fx.json"]
+
+
+def test_save_onto_a_directory_fails_without_a_stray_file(tmp_path, mjm):
+    (tmp_path / "fx.json").mkdir()
+    with pytest.raises(OSError):
+        save_fixture(tmp_path / "fx.json", mjm.matrix)
+    assert os.listdir(tmp_path) == ["fx.json"]
 
 def test_to_document_drops_zero_cells():
     matrix, sync, diach = build_all([], PublicationLedger({2004: 1}), (2004, 2004), (2004, 2004))

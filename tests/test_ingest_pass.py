@@ -1,0 +1,157 @@
+"""``citemetrics ingest`` reads each citation row once; the library's step
+functions, run one after another, are the reference it must reproduce: the
+same fixture bytes, the same stdout, the same error."""
+
+import csv
+import io
+import os
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from citemetrics.cli import main
+from citemetrics.errors import AliasTableError, ParseError
+from citemetrics.fixture import save_fixture
+from citemetrics.ingest import (
+    backdated_records,
+    deduplicate_events,
+    load_alias_table,
+    normalize_journal_names,
+    parse_citations,
+    parse_publications,
+)
+from citemetrics.matrix import augment_diachronous, augment_synchronous, build_pc_matrix
+
+HEADER = ["cited_article_id", "cited_pub_year", "citing_journal", "citing_year", "citing_article_id"]
+
+# Every journal under three spellings that normalize alike.
+SPELLINGS = {
+    name: (name, name.upper() + ".", f"  {name.lower()}  ;")
+    for name in ("Lancet", "Gut", "Med J Malaysia", "BMJ")
+}
+JOURNAL_OF = {spelling: name for name, spellings in SPELLINGS.items() for spelling in spellings}
+
+# Rows that fire, one that never fires (no corpus cites Acta Tropica) and
+# one that conflicts with the first after normalization.
+ALIAS_ROWS = (
+    ("med j malaysia", "Lancet"),
+    ("BMJ.", "British Medical Journal"),
+    ("gut", "Gut Journal"),
+    ("Acta Tropica", "Gut"),
+    ("Med J Malaysia;", "BMJ"),
+)
+
+
+@st.composite
+def corpora(draw):
+    width = draw(st.sampled_from((4, 5)))
+    rows = []
+    for _ in range(draw(st.integers(0, 25))):
+        row = [
+            draw(st.sampled_from(("a1", "a2", "a3"))),
+            str(draw(st.integers(2002, 2007))),  # the ledger covers at most 2003-2005
+            draw(st.sampled_from(sorted(JOURNAL_OF))),
+            str(draw(st.integers(2001, 2008))),  # before the publication year: backdated
+        ]
+        if width == 5:
+            row.append(draw(st.sampled_from(("", "c1", "c2"))))
+        rows.append(row)
+    if rows:
+        for row in draw(st.lists(st.sampled_from(rows), max_size=6)):
+            copy = list(row)  # a duplicate, possibly under another spelling
+            copy[2] = draw(st.sampled_from(SPELLINGS[JOURNAL_OF[row[2]]]))
+            rows.insert(draw(st.integers(0, len(rows))), copy)
+        if draw(st.integers(0, 9)) == 7:
+            for index in draw(st.lists(st.integers(0, len(rows) - 1), min_size=1, max_size=3)):
+                rows[index][2] = draw(st.sampled_from(("...", " ; ")))  # empty once normalized
+    aliases = draw(st.none() | st.lists(st.sampled_from(ALIAS_ROWS), unique=True))
+    no_pubs = draw(st.integers(0, 9)) == 7
+    pubs = draw(
+        st.dictionaries(st.integers(2003, 2005), st.integers(0, 9), min_size=0 if no_pubs else 1)
+    )
+    return width, rows, aliases, pubs
+
+
+def _write_csv(path, header, rows):
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def _read(path, parse):
+    with open(path, newline="", encoding="utf-8") as fh:
+        return parse(fh)
+
+
+def reference_ingest(pubs, cites, aliases, out):
+    """(exit code, stdout, stderr) of the step functions and save_fixture."""
+    try:
+        ledger = _read(pubs, parse_publications)
+        alias_table = _read(aliases, load_alias_table) if aliases else None
+        records = _read(cites, parse_citations)
+        _, event_list = normalize_journal_names(records, alias_table)
+        events, removed = deduplicate_events(event_list)
+        backdated = backdated_records(records)
+        if ledger.years is None:
+            raise ParseError("publications file contains no data rows")
+        years = [e.citing_year for e in events]
+        cite_span = (min(years), max(years)) if years else ledger.years
+        matrix = build_pc_matrix(events, ledger, ledger.years, cite_span)
+        sync = augment_synchronous(matrix, events)
+        diach = augment_diachronous(matrix, events)
+        save_fixture(out, matrix, sync, diach)
+    except (ParseError, AliasTableError) as exc:
+        return 1, "", f"citemetrics: error: {exc}\n"
+    lines = ", ".join(str(r.source_line) for r in backdated[:20])
+    more = " ..." if len(backdated) > 20 else ""
+    stdout = (
+        f"wrote {out}\n"
+        f"citation rows parsed: {len(records)}\n"
+        f"duplicate rows removed: {removed}\n"
+        f"events outside the matrix years (clipped): {matrix.n_clipped}\n"
+        f"citations dated before publication (kept): {len(backdated)}"
+        + (f" [lines {lines}{more}]" if backdated else "")
+        + "\n"
+    )
+    return 0, stdout, ""
+
+
+def _cli_ingest(pubs, cites, aliases, out):
+    argv = ["ingest", "--pubs", pubs, "--cites", cites, "--matrix", out]
+    if aliases:
+        argv += ["--aliases", aliases]
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with redirect_stdout(stdout), redirect_stderr(stderr):
+        code = main(argv)
+    return code, stdout.getvalue(), stderr.getvalue()
+
+
+def _outcome(run, pubs, cites, aliases, out):
+    result = run(pubs, cites, aliases, out)
+    if not os.path.exists(out):
+        return result, None
+    with open(out, "rb") as fh:
+        written = fh.read()
+    os.remove(out)
+    return result, written
+
+
+@settings(max_examples=150, deadline=None)
+@given(corpora())
+def test_single_pass_ingest_matches_the_step_functions(corpus):
+    width, rows, alias_rows, pub_counts = corpus
+    with tempfile.TemporaryDirectory() as tmp:
+        pubs, cites, out = (
+            os.path.join(tmp, name) for name in ("pubs.csv", "cites.csv", "fx.json")
+        )
+        _write_csv(pubs, ["year", "count"], sorted(pub_counts.items()))
+        _write_csv(cites, HEADER[:width], rows)
+        aliases = None
+        if alias_rows is not None:
+            aliases = os.path.join(tmp, "aliases.csv")
+            _write_csv(aliases, ["raw", "canonical"], alias_rows)
+        expected = _outcome(reference_ingest, pubs, cites, aliases, out)
+        assert _outcome(_cli_ingest, pubs, cites, aliases, out) == expected

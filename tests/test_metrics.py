@@ -8,6 +8,8 @@ from citemetrics.ingest import PublicationLedger
 from citemetrics.matrix import year_range
 from citemetrics.metrics import (
     MetricRequest,
+    _backward_years,
+    _forward_years,
     _year_runs,
     diach_if,
     diach_jdf,
@@ -417,3 +419,49 @@ def test_year_runs_match_a_linear_scan():
     for _ in range(500):
         years = rng.sample(range(1990, 2030), rng.randint(0, 25))
         assert _year_runs(years) == scan(years)
+
+
+class TestClippedWindows:
+    def test_clipped_windows_are_the_listed_window_cut_to_the_span(self, mjm):
+        (pub_lo, pub_hi), (cite_lo, cite_hi) = mjm.matrix.pub_years, mjm.matrix.cite_years
+
+        def check(years, wanted, lo, hi):
+            expected = [y for y in wanted if lo <= y <= hi]
+            if expected:
+                assert years() == expected
+            else:
+                with pytest.raises(UndefinedMetricError) as err:
+                    years()
+                assert err.value.missing_years == tuple(wanted)
+
+        for year in range(1998, 2017):
+            for window in range(1, 14):
+                for offset in (0, 1):
+                    check(
+                        lambda: _backward_years(mjm.matrix, year, window, True, offset),
+                        [year - offset - j for j in range(window)],
+                        pub_lo,
+                        pub_hi,
+                    )
+                for shift in (0, 1, 3):
+                    check(
+                        lambda: _forward_years(mjm.matrix, year, window, shift, True),
+                        [year + shift + j for j in range(window)],
+                        cite_lo,
+                        cite_hi,
+                    )
+
+    def test_a_clipped_window_of_1e11_years_equals_the_max_window(self, mjm):
+        # Only requests whose max window is defined: their windows overlap
+        # the span, so the clipped 10^11-year window is never listed.
+        compared = 0
+        for kind in ("sync_if", "diach_if", "sync_jdf", "diach_jdf", "sync_rdf", "diach_rdf"):
+            for year in range(2002, 2013):
+                try:
+                    expected = evaluate(MetricRequest(kind, year), mjm.matrix, mjm.sync, mjm.diach)
+                except UndefinedMetricError:
+                    continue
+                huge = MetricRequest(kind, year, window=10**11)
+                assert evaluate(huge, mjm.matrix, mjm.sync, mjm.diach) == expected
+                compared += 1
+        assert compared >= 30
