@@ -6,7 +6,7 @@ A fixture is a JSON object with exactly these fields:
 * ``publications``: per-year article counts, keys as year strings, covering
   the publication span exactly;
 * ``citations``: ``[citation_year, pub_year, count]`` triples for the
-  non-zero cells;
+  non-zero cells (a triple with count 0 is accepted and ignored);
 * ``unique_new_sync`` / ``unique_new_diach`` (optional): triples of
   first-appearance journal counts for each augmentation variant.
 
@@ -21,7 +21,7 @@ import os
 import secrets
 from contextlib import suppress
 from dataclasses import dataclass
-from itertools import product
+from itertools import starmap
 from pathlib import Path
 from typing import Any, Mapping
 
@@ -46,6 +46,9 @@ _FIELDS = {
     "unique_new_diach",
 }
 _REQUIRED = ("pub_years", "cite_years", "publications", "citations")
+_TRIPLE_BLOCKS = ("citations", "unique_new_sync", "unique_new_diach")
+# One triple as json.dumps(indent=2) lays it out inside a top-level list.
+_TRIPLE = "    [\n      {},\n      {},\n      {}\n    ]"
 
 
 @dataclass(frozen=True)
@@ -81,10 +84,13 @@ def _triples(
     # One tight pass, since a fixture holds a triple per non-zero cell and
     # this loop is most of the time spent loading a wide one: `type(v) is
     # int` settles the usual case in one call and also excludes bool;
-    # _is_int runs only for other int subclasses.
+    # _is_int runs only for other int subclasses. A zero count passes every
+    # check, a duplicate cell included, but is dropped at the end: the cell
+    # maps hold non-zero cells only.
     cite_lo, cite_hi = cite_years
     pub_lo, pub_hi = pub_years
     out: dict[Cell, int] = {}
+    zeros = False
     for entry in value:
         if not isinstance(entry, list) or len(entry) != 3:
             raise FixtureError(f"{name} entry {entry!r} is not an integer triple")
@@ -97,8 +103,10 @@ def _triples(
             raise FixtureError(f"{name} entry {entry!r}: citation year {k} outside {cite_years}")
         if not pub_lo <= i <= pub_hi:
             raise FixtureError(f"{name} entry {entry!r}: publication year {i} outside {pub_years}")
-        if count < 0:
-            raise FixtureError(f"{name} entry {entry!r}: negative count")
+        if count < 1:
+            if count < 0:
+                raise FixtureError(f"{name} entry {entry!r}: negative count")
+            zeros = True
         if not allow_backdated and k < i:
             raise FixtureError(
                 f"{name} entry {entry!r}: citation year precedes publication year"
@@ -107,11 +115,17 @@ def _triples(
         if cell in out:
             raise FixtureError(f"{name} has two entries for cell ({k}, {i})")
         out[cell] = count
+    if zeros:
+        return {cell: count for cell, count in out.items() if count}
     return out
 
 
 def load_document(doc: Any) -> MatrixFixture:
-    """Validate a parsed JSON document and build the matrices it describes."""
+    """Validate a parsed JSON document and build the matrices it describes.
+
+    The matrices store the non-zero cells only, so two documents that differ
+    only in zero-count triples load equal.
+    """
     if not isinstance(doc, dict):
         raise FixtureError("fixture must be a JSON object")
     unknown = set(doc) - _FIELDS
@@ -139,10 +153,7 @@ def load_document(doc: Any) -> MatrixFixture:
     if set(counts) != set(year_range(pub_years)):
         raise FixtureError("publications must cover exactly the pub_years span")
 
-    citations = _triples(doc["citations"], "citations", cite_years, pub_years, allow_backdated=True)
-    zero_grid = dict.fromkeys(product(year_range(cite_years), year_range(pub_years)), 0)
-    cells = zero_grid.copy()
-    cells.update(citations)
+    cells = _triples(doc["citations"], "citations", cite_years, pub_years, allow_backdated=True)
     matrix = PubCitMatrix(pub_years, cite_years, PublicationLedger(counts), cells)
 
     def augmented(field: str, variant: str) -> AugmentedMatrix | None:
@@ -150,13 +161,12 @@ def load_document(doc: Any) -> MatrixFixture:
             return None
         unique = _triples(doc[field], field, cite_years, pub_years, allow_backdated=False)
         for cell, u in unique.items():
-            if u > cells[cell]:
+            if u > cells.get(cell, 0):
                 raise FixtureError(
-                    f"{field} cell {list(cell)}: unique count {u} exceeds {cells[cell]} citations"
+                    f"{field} cell {list(cell)}: unique count {u} exceeds "
+                    f"{cells.get(cell, 0)} citations"
                 )
-        filled = zero_grid.copy()
-        filled.update(unique)
-        return AugmentedMatrix(variant, filled, matrix)
+        return AugmentedMatrix(variant, unique, matrix)
 
     return MatrixFixture(
         matrix=matrix,
@@ -219,6 +229,29 @@ def load_fixture(path: str | Path) -> MatrixFixture:
     return load_document(doc)
 
 
+def _write_document(fh, doc: dict) -> None:
+    """Write ``doc`` exactly as ``json.dumps(doc, indent=2)`` renders it,
+    plus a newline.
+
+    ``json.dump`` with an indent always runs the pure-Python encoder, and a
+    wide fixture holds tens of thousands of triples. So only the head of the
+    document goes through ``json.dumps``; each triple comes from one format
+    string. The triple blocks must come after the other fields, of which
+    there must be at least one, as in every document :func:`to_document`
+    returns.
+    """
+    head = {key: value for key, value in doc.items() if key not in _TRIPLE_BLOCKS}
+    fh.write(json.dumps(head, indent=2)[:-2])  # reopen the object: drop "\n}"
+    for name, triples in doc.items():
+        if name in _TRIPLE_BLOCKS:
+            fh.write(f',\n  "{name}": ')
+            if triples:
+                fh.write("[\n" + ",\n".join(starmap(_TRIPLE.format, triples)) + "\n  ]")
+            else:
+                fh.write("[]")
+    fh.write("\n}\n")
+
+
 def save_fixture(
     path: str | Path,
     matrix: PubCitMatrix,
@@ -238,8 +271,7 @@ def save_fixture(
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with open(fd, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=2)
-            fh.write("\n")
+            _write_document(fh, doc)
         os.replace(tmp, path)
     except BaseException:
         with suppress(OSError):

@@ -95,6 +95,11 @@ class PublicationLedger:
     def count(self, year: int) -> int:
         return self.counts[year]
 
+    def total(self, years: Iterable[int]) -> int:
+        """Articles published over ``years``, each of which must be in the
+        ledger: one read for a whole window, not a call per year."""
+        return sum(map(self.counts.__getitem__, years))
+
 
 def _cells(row: list[str]) -> list[str]:
     return [cell.strip() for cell in row]

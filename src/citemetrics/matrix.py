@@ -13,12 +13,17 @@ appear there for the first time, under two different reading orders:
 
 Cells above the diagonal (citation year before publication year) are never
 scanned; any unique-new count there stays zero even if citations exist.
+
+Both cell maps are sparse: a cell that is not stored holds zero, so memory
+and the scans grow with the non-zero cells, not with the grid.
 """
 
 from __future__ import annotations
 
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
+from itertools import repeat
+from operator import itemgetter
 from typing import Iterable, Mapping, Sequence
 
 from .ingest import CitationEvent, JournalId, PublicationLedger
@@ -39,9 +44,10 @@ def year_range(span: YearSpan) -> range:
 class PubCitMatrix:
     """Citation counts on a (citation year, publication year) grid.
 
-    ``citations`` holds every cell of the grid, zero-filled. ``n_clipped``
-    records how many source events fell outside the grid during the build; it
-    is bookkeeping, not data, and is excluded from equality.
+    ``citations`` holds the non-zero cells of the grid only; every other
+    cell of the grid reads 0. ``n_clipped`` records how many source events
+    fell outside the grid during the build; it is bookkeeping, not data, and
+    is excluded from equality.
     """
 
     pub_years: YearSpan
@@ -51,29 +57,29 @@ class PubCitMatrix:
     n_clipped: int = field(default=0, compare=False)
 
     def _check_cell(self, citation_year: int, pub_year: int) -> Cell:
-        cell = (citation_year, pub_year)
-        if cell not in self.citations:
+        if not (self.covers_cite_year(citation_year) and self.covers_pub_year(pub_year)):
             raise ValueError(
                 f"cell ({citation_year}, {pub_year}) is outside the matrix "
                 f"(citation years {self.cite_years}, publication years {self.pub_years})"
             )
-        return cell
+        return (citation_year, pub_year)
 
     def cit(self, citation_year: int, pub_year: int) -> int:
-        return self.citations[self._check_cell(citation_year, pub_year)]
+        return self.citations.get(self._check_cell(citation_year, pub_year), 0)
 
     def window_sum(self, cells: Sequence[Cell], values: Mapping[Cell, int] | None = None) -> int:
         """Sum ``values`` (by default the citations) over a window of cells.
 
         A window is one row, one column or a rectangle of the grid, listed
-        from one corner to the opposite one. The grid is dense, so checking
-        the two end cells bounds every cell between them: a window reaching
-        off the grid raises ValueError, like a single-cell read.
+        from one corner to the opposite one, so checking the two end cells
+        against the spans bounds every cell between them: a window reaching
+        off the grid raises ValueError, like a single-cell read. A cell that
+        ``values`` does not hold counts as zero.
         """
         if cells:
             self._check_cell(*cells[0])
             self._check_cell(*cells[-1])
-        return sum(map((self.citations if values is None else values).__getitem__, cells))
+        return sum(map((self.citations if values is None else values).get, cells, repeat(0)))
 
     def pub(self, year: int) -> int:
         lo, hi = self.pub_years
@@ -98,7 +104,10 @@ class PubCitMatrix:
 
 @dataclass(frozen=True)
 class AugmentedMatrix:
-    """A matrix plus per-cell first-appearance journal counts for one variant."""
+    """A matrix plus per-cell first-appearance journal counts for one variant.
+
+    ``unique_new`` holds the non-zero counts only, like ``base.citations``.
+    """
 
     variant: str
     unique_new: Mapping[Cell, int]
@@ -109,7 +118,7 @@ class AugmentedMatrix:
             raise ValueError(f"unknown augmentation variant {self.variant!r}")
 
     def unique(self, citation_year: int, pub_year: int) -> int:
-        return self.unique_new[self.base._check_cell(citation_year, pub_year)]
+        return self.unique_new.get(self.base._check_cell(citation_year, pub_year), 0)
 
 
 def _check_span(span: YearSpan, what: str) -> YearSpan:
@@ -148,13 +157,14 @@ def matrix_from_counts(
     for year in year_range(pub_years):
         if year not in ledger.counts:
             raise ValueError(f"publication ledger has no count for {year}")
-    cells = {(k, i): 0 for k in year_range(cite_years) for i in year_range(pub_years)}
+    (pub_lo, pub_hi), (cite_lo, cite_hi) = pub_years, cite_years
+    cells = {}
     clipped = 0
-    for cell, n in counts.items():
-        if cell in cells:
-            cells[cell] += n
-        else:
+    for (k, i), n in counts.items():
+        if not (cite_lo <= k <= cite_hi and pub_lo <= i <= pub_hi):
             clipped += n
+        elif n:
+            cells[k, i] = n
     return PubCitMatrix(pub_years, cite_years, ledger, cells, n_clipped=clipped)
 
 
@@ -166,7 +176,7 @@ def _journals_per_cell(
     journals: defaultdict[Cell, set[JournalId]] = defaultdict(set)
     for event in events:
         cell = (event.citing_year, event.cited_pub_year)
-        if cell in matrix.citations:
+        if matrix.covers_cite_year(cell[0]) and matrix.covers_pub_year(cell[1]):
             counts[cell] += 1
             journals[cell].add(event.citing_journal)
     if dict(counts) != {cell: n for cell, n in matrix.citations.items() if n}:
@@ -181,29 +191,34 @@ def augment(matrix: PubCitMatrix, journals: Mapping[Cell, set], variant: str) ->
     form; cells outside the grid are ignored. A synchronous line is one
     citation-year row read from the newest publication year backwards; a
     diachronous line is one publication-year column read forward in time.
-    Either way only cells on or below the diagonal are read.
+    Either way only cells on or below the diagonal are read, and only the
+    cells ``journals`` holds: the scan costs the non-zero cells, not the
+    grid. Only non-zero counts are stored.
     """
     (pub_lo, pub_hi), (cite_lo, cite_hi) = matrix.pub_years, matrix.cite_years
+    scanned = [
+        (k, i) for k, i in journals if cite_lo <= k <= cite_hi and pub_lo <= i <= min(k, pub_hi)
+    ]
+    # Sorting puts each line's cells together in reading order; the order of
+    # the lines themselves does not matter.
     if variant == SYNCHRONOUS:
-        lines = (
-            [(k, i) for i in range(min(k, pub_hi), pub_lo - 1, -1)]
-            for k in range(cite_lo, cite_hi + 1)
-        )
+        scanned.sort(reverse=True)
+        line_of = itemgetter(0)
     elif variant == DIACHRONOUS:
-        lines = (
-            [(k, i) for k in range(max(i, cite_lo), cite_hi + 1)]
-            for i in range(pub_lo, pub_hi + 1)
-        )
+        scanned.sort(key=itemgetter(1, 0))
+        line_of = itemgetter(1)
     else:
         raise ValueError(f"unknown augmentation variant {variant!r}")
-    unique = dict.fromkeys(matrix.citations, 0)
-    for line in lines:
-        seen: set = set()
-        for cell in line:
-            here = journals.get(cell)
-            if here:
-                unique[cell] = len(here - seen)
-                seen |= here
+    unique = {}
+    line = seen = None
+    for cell in scanned:
+        if line_of(cell) != line:
+            line, seen = line_of(cell), set()
+        here = journals[cell]
+        new = len(here - seen)
+        if new:
+            unique[cell] = new
+            seen |= here
     return AugmentedMatrix(variant, unique, matrix)
 
 

@@ -234,7 +234,7 @@ def sync_if(matrix: PubCitMatrix, year: int, window: int | None, *, clip: bool =
     previous ``window`` years, divided by the articles of those years."""
     _require_citation_year(matrix, year)
     years = _backward_years(matrix, year, window, clip, newest_offset=1)
-    denominator = sum(matrix.pub(i) for i in years)
+    denominator = matrix.publications.total(years)
     if denominator == 0:
         _undefined(f"no articles were published in {_year_runs(years)}", years)
     cells = tuple((year, i) for i in years)
@@ -272,7 +272,7 @@ def sync_jdf(
     matrix = augmented.base
     _require_citation_year(matrix, year)
     years = _backward_years(matrix, year, window, clip, newest_offset=0)
-    denominator = sum(matrix.pub(i) for i in years)
+    denominator = matrix.publications.total(years)
     if denominator == 0:
         _undefined(f"no articles were published in {_year_runs(years)}", years)
     cells = tuple((year, i) for i in years)

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import pytest
 
@@ -341,3 +342,28 @@ def test_round_trip_ingest_then_report(corpus, capsys):
     assert lines[1].startswith("2004,x,x,1.00,x,0.67,0.000,0.67")
     fx = load_fixture(out)
     assert fx.matrix.cit(2005, 2004) == 2
+
+
+def test_a_stray_year_costs_its_non_zero_cells_not_the_grid(tmp_path, capsys):
+    """A lone 9999 publication row and a citation dated 9999 stretch both
+    spans to about 8,000 years, a grid of some 64M cells; the fixture and
+    the loaded matrices hold only the cells that were cited."""
+    pubs, cites, out = tmp_path / "pubs.csv", tmp_path / "cites.csv", tmp_path / "fx.json"
+    pubs.write_text(PUBS_CSV + "9999,1\n")
+    cites.write_text(CITES_CSV + "z1,9999,Gut,9999,c8\n")
+    tracemalloc.start()
+    try:
+        assert main(["ingest", "--pubs", str(pubs), "--cites", str(cites), "--matrix", str(out)]) == 0
+        assert main(["metric", "--matrix", str(out), "--kind", "diach_if", "--year", "2004", "--window", "max"]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20  # about 2.5 MB; the dense grid alone needed GBs
+    assert capsys.readouterr().out.splitlines()[-1] == "1.00 (exact 3/3)"
+    fx = load_fixture(out)
+    assert fx.matrix.pub_years == (2004, 9999) and fx.matrix.cite_years == (2004, 9999)
+    nonzero = {(2004, 2006): 1, (2005, 2004): 2, (2005, 2005): 1, (2006, 2004): 1, (2006, 2005): 1, (9999, 9999): 1}
+    assert fx.matrix.citations == nonzero
+    assert len(fx.matrix.citations) == len(nonzero)
+    assert fx.matrix.cit(5000, 5000) == 0
+    assert len(fx.sync.unique_new) <= len(nonzero) and len(fx.diach.unique_new) <= len(nonzero)

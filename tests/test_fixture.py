@@ -1,14 +1,19 @@
 import errno
+import io
 import json
 import os
 import stat
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from citemetrics import fixture
 from citemetrics.errors import FixtureError
 from citemetrics.fixture import load_document, load_fixture, save_fixture, to_document
 from citemetrics.ingest import PublicationLedger
 
+from conftest import DATA
 from helpers import build_all, ev
 
 
@@ -73,15 +78,51 @@ def test_failed_save_keeps_the_previous_fixture(tmp_path, mjm, monkeypatch):
     path = tmp_path / "fx.json"
     path.write_text("previous fixture")
 
-    def dump_then_fail(doc, fh, **kwargs):
-        fh.write('{"pub_years": [')
+    def write_then_fail(fh, doc):
+        fh.write('{\n  "pub_years": [')
         raise OSError(errno.ENOSPC, "No space left on device")
 
-    monkeypatch.setattr(json, "dump", dump_then_fail)
+    monkeypatch.setattr(fixture, "_write_document", write_then_fail)
     with pytest.raises(OSError, match="No space left"):
         save_fixture(path, mjm.matrix, mjm.sync, mjm.diach)
     assert path.read_text() == "previous fixture"
     assert os.listdir(tmp_path) == ["fx.json"]
+
+
+def test_saving_the_bundled_fixture_gives_back_its_bytes(tmp_path, mjm):
+    path = tmp_path / "fx.json"
+    save_fixture(path, mjm.matrix, mjm.sync, mjm.diach)
+    assert path.read_bytes() == (DATA / "mjm_fixture.json").read_bytes()
+
+
+@st.composite
+def _documents(draw):
+    """Fixture-shaped documents as to_document lays them out. The values
+    need not pass load_document: the writer only has to render them."""
+    year = st.integers(-99_999, 99_999)
+    first = draw(year)
+    pub_years = [first, first + draw(st.integers(0, 3))]
+    first = draw(year)
+    cite_years = [first, first + draw(st.integers(0, 3))]
+    count = st.integers(0, 10**30)
+    doc = {
+        "pub_years": pub_years,
+        "cite_years": cite_years,
+        "publications": {str(y): draw(count) for y in range(pub_years[0], pub_years[1] + 1)},
+    }
+    triples = st.lists(st.lists(st.one_of(year, count), min_size=3, max_size=3), max_size=6)
+    doc["citations"] = draw(triples)
+    for name in ("unique_new_sync", "unique_new_diach"):
+        if draw(st.booleans()):
+            doc[name] = draw(triples)
+    return doc
+
+
+@given(_documents())
+def test_writer_matches_json_dumps_byte_for_byte(doc):
+    fh = io.StringIO()
+    fixture._write_document(fh, doc)
+    assert fh.getvalue() == json.dumps(doc, indent=2) + "\n"
 
 
 def test_save_onto_a_directory_fails_without_a_stray_file(tmp_path, mjm):
@@ -299,6 +340,21 @@ def test_first_bad_entry_decides_the_message():
     doc = _small_doc()
     doc["citations"] += [[2005, 2004, 9], [2005, 2004, -1]]
     with pytest.raises(FixtureError, match="two entries for cell"):
+        load_document(doc)
+
+
+def test_zero_count_triples_are_accepted_and_ignored():
+    doc = _small_doc()
+    doc["citations"] += [[2004, 2004, 0], [2006, 2004, 0]]
+    doc["unique_new_sync"].append([2006, 2004, 0])
+    doc["unique_new_diach"].insert(0, [2004, 2004, 0])
+    fx = load_document(doc)
+    assert fx == load_document(_small_doc())
+    assert fx.matrix.citations == {(2005, 2004): 2, (2006, 2005): 1}
+    assert fx.matrix.cit(2004, 2004) == 0
+    # a zero triple still counts as the cell's entry
+    doc["citations"].append([2004, 2004, 5])
+    with pytest.raises(FixtureError, match=r"two entries for cell \(2004, 2004\)"):
         load_document(doc)
 
 

@@ -319,6 +319,14 @@ class TestPublicationLedger:
         with pytest.raises(ValueError):
             PublicationLedger({2004: -1})
 
+    def test_total_sums_a_window_of_years(self):
+        ledger = PublicationLedger({2004: 1, 2005: 2, 2006: 4})
+        assert ledger.total(range(2006, 2003, -1)) == 7
+        assert ledger.total([2005]) == 2
+        assert ledger.total([]) == 0
+        with pytest.raises(KeyError):
+            ledger.total([2007])
+
     def test_journal_identity_ignores_alias_set(self):
         assert JournalId("gut", frozenset({"Gut"})) == JournalId("gut", frozenset({"GUT."}))
         assert len({JournalId("gut", frozenset({"Gut"})), JournalId("gut")}) == 1

@@ -35,9 +35,15 @@ def test_build_counts_cells():
 
 
 def test_every_cell_is_materialized():
-    m = build_pc_matrix([], LEDGER_2004_2006, (2004, 2006), (2004, 2006))
-    assert set(m.citations) == {(k, i) for k in range(2004, 2007) for i in range(2004, 2007)}
-    assert all(v == 0 for v in m.citations.values())
+    """Every cell of the grid reads, as 0 unless it was counted; only the
+    non-zero cells are stored."""
+    events = [ev("a", 2005, 2004, "c1")]
+    m = build_pc_matrix(events, LEDGER_2004_2006, (2004, 2006), (2004, 2006))
+    assert {(k, i): m.cit(k, i) for k in range(2004, 2007) for i in range(2004, 2007)} == {
+        (k, i): int((k, i) == (2005, 2004)) for k in range(2004, 2007) for i in range(2004, 2007)
+    }
+    assert m.citations == {(2005, 2004): 1}
+    assert 0 not in m.citations.values()
 
 
 def test_out_of_range_events_are_clipped_not_fatal():
@@ -220,7 +226,10 @@ def test_scan_lines_sum_to_distinct_journal_counts(events):
 def test_unique_never_exceeds_citations(events):
     m = build_pc_matrix(events, _FULL_LEDGER, (2000, 2005), (2000, 2005))
     for aug in (augment_synchronous(m, events), augment_diachronous(m, events)):
-        assert all(aug.unique_new[cell] <= m.citations[cell] for cell in m.citations)
+        assert all(
+            aug.unique(k, i) <= m.cit(k, i) for k in year_range(m.cite_years) for i in year_range(m.pub_years)
+        )
+        assert 0 not in aug.unique_new.values()
 
 
 @given(_EVENTS)
