@@ -30,6 +30,11 @@ EXIT_USAGE = 1
 EXIT_UNDEFINED = 2
 EXIT_FIXTURE = 3
 
+# Decimal places a rendering may ask for. The rendering scales by
+# 10**precision and prints every digit, so an unbounded value would hang on
+# the power or hit Python's limit on int-to-str digits.
+MAX_PRECISION = 1000
+
 _METRIC_KINDS = (
     "garfield_if",
     "sync_if",
@@ -71,7 +76,9 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="treat windows reaching past the matrix bounds as undefined instead of truncating",
     )
-    metric.add_argument("--precision", type=int, default=2, help="decimal places in the rendering")
+    metric.add_argument(
+        "--precision", type=int, default=2, help=f"decimal places in the rendering (0 to {MAX_PRECISION})"
+    )
     metric.add_argument("--format", choices=("text", "structured"), default="text")
     metric.set_defaults(func=cmd_metric)
 
@@ -156,6 +163,8 @@ def cmd_metric(args) -> int:
         raise ParseError(f"--window is required for {args.kind} (an integer or 'max')")
     if args.precision < 0:
         raise ParseError("--precision must be non-negative")
+    if args.precision > MAX_PRECISION:
+        raise ParseError(f"--precision must be at most {MAX_PRECISION}, got {args.precision}")
     fixture = load_fixture(args.matrix)
     if args.kind in ("sync_jdf", "sync_rdf") and fixture.sync is None:
         raise FixtureError(

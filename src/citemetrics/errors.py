@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from collections.abc import Sequence
+
 
 class CiteMetricsError(Exception):
     """Base class for every error raised by this package."""
@@ -33,12 +35,14 @@ class FixtureError(CiteMetricsError):
 class UndefinedMetricError(CiteMetricsError):
     """The requested indicator is undefined for this matrix.
 
-    ``missing_years`` lists the years whose absence (or emptiness) caused it,
-    when that is the reason.
+    ``missing_years`` holds the years whose absence (or emptiness) caused it,
+    when that is the reason: a tuple, or for a window the runs value the
+    window helpers build, which compares equal to the tuple of its years and
+    is kept as it is, since a window can miss more years than fit in memory.
     """
 
-    def __init__(self, message: str, missing_years: tuple[int, ...] = ()):
-        self.missing_years = tuple(missing_years)
+    def __init__(self, message: str, missing_years: Sequence[int] = ()):
+        self.missing_years = missing_years
         super().__init__(message)
 
 

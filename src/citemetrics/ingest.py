@@ -21,6 +21,8 @@ from __future__ import annotations
 import csv
 import string
 from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import accumulate
 from typing import IO, Iterable, Iterator, Mapping
 
 from .errors import AliasTableError, ParseError
@@ -97,8 +99,24 @@ class PublicationLedger:
 
     def total(self, years: Iterable[int]) -> int:
         """Articles published over ``years``, each of which must be in the
-        ledger: one read for a whole window, not a call per year."""
+        ledger (KeyError otherwise). A range of consecutive ledger years is
+        read from a cumulative list built on first use, so it costs two
+        reads however long the window."""
+        if isinstance(years, range) and years and years.step in (1, -1):
+            first, cumulative = self._cumulative
+            lo, hi = years[0] - first, years[-1] - first
+            if lo > hi:
+                lo, hi = hi, lo
+            if 0 <= lo and hi < len(cumulative) - 1:
+                return cumulative[hi + 1] - cumulative[lo]
         return sum(map(self.counts.__getitem__, years))
+
+    @cached_property
+    def _cumulative(self) -> tuple[int, list[int]]:
+        """The first year and the running totals: entry j sums the j years
+        from the first."""
+        first, last = self.years or (0, -1)
+        return first, list(accumulate(map(self.counts.__getitem__, range(first, last + 1)), initial=0))
 
 
 def _cells(row: list[str]) -> list[str]:

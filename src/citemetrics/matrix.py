@@ -21,15 +21,19 @@ and the scans grow with the non-zero cells, not with the grid.
 from __future__ import annotations
 
 from collections import Counter, defaultdict
+from collections.abc import Sequence
 from dataclasses import dataclass, field
-from itertools import repeat
+from itertools import chain, repeat, zip_longest
 from operator import itemgetter
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
 from .ingest import CitationEvent, JournalId, PublicationLedger
 
 SYNCHRONOUS = "synchronous"
 DIACHRONOUS = "diachronous"
+
+ROW = "row"
+COLUMN = "column"
 
 YearSpan = tuple[int, int]
 Cell = tuple[int, int]  # (citation year, publication year)
@@ -38,6 +42,125 @@ Cell = tuple[int, int]  # (citation year, publication year)
 def year_range(span: YearSpan) -> range:
     """Iterate an inclusive (first, last) year span."""
     return range(span[0], span[1] + 1)
+
+
+def _same_items(a: Iterable, b: Iterable) -> bool:
+    """Whether two iterables yield equal items, compared one by one and
+    stopped at the first difference: a window may hold more years than any
+    list could."""
+    end = object()
+    return all(x == y for x, y in zip_longest(a, b, fillvalue=end))
+
+
+class Window:
+    """A run of cells along one line of the grid, held by its ends.
+
+    A ``ROW`` window is citation year ``line`` read at the publication years
+    ``years``; a ``COLUMN`` window is publication year ``line`` read at the
+    citation years ``years``. ``years`` is a range in reading order, so the
+    window costs the same whatever its length: its cells are made only as
+    they are read. It compares and hashes equal to the tuple of its cells.
+    """
+
+    __slots__ = ("axis", "line", "years")
+
+    def __init__(self, axis: str, line: int, years: range):
+        if axis not in (ROW, COLUMN):
+            raise ValueError(f"unknown window axis {axis!r}")
+        self.axis, self.line, self.years = axis, line, years
+
+    def __len__(self) -> int:
+        return len(self.years)
+
+    def __bool__(self) -> bool:
+        return bool(self.years)
+
+    def __iter__(self):
+        if self.axis == ROW:
+            return zip(repeat(self.line), self.years)
+        return zip(self.years, repeat(self.line))
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return Window(self.axis, self.line, self.years[index])
+        year = self.years[index]
+        return (self.line, year) if self.axis == ROW else (year, self.line)
+
+    def __eq__(self, other):
+        if isinstance(other, Window):
+            if self.years[1:] or other.years[1:]:
+                # Two cells of a row never share a column, nor two of a
+                # column a row: a window of two or more cells has one form.
+                return (self.axis, self.line, self.years) == (other.axis, other.line, other.years)
+            return tuple(self) == tuple(other)
+        if isinstance(other, tuple):
+            return _same_items(self, other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+    def __repr__(self) -> str:
+        return f"Window({self.axis!r}, {self.line!r}, {self.years!r})"
+
+    def stored_sum(self, values: Mapping[Cell, int]) -> int:
+        """Sum the entries of ``values`` that lie in the window, reading the
+        map's stored cells rather than the window's."""
+        line, years = self.line, self.years
+        if self.axis == ROW:
+            return sum(n for (k, i), n in values.items() if k == line and i in years)
+        return sum(n for (k, i), n in values.items() if i == line and k in years)
+
+
+class YearRuns:
+    """Years held as a few runs of consecutive years, each a range in
+    reading order.
+
+    A window's years, or the years it misses, are at most two runs however
+    long the window, so they are kept by their ends. The value compares
+    equal to the list or tuple of its years and hashes like that tuple.
+    ``str()`` gives the runs text of ``metrics._year_runs`` as long as no two
+    runs overlap or touch: the two runs a window misses lie on either side
+    of the span. Empty runs are dropped.
+    """
+
+    __slots__ = ("runs",)
+
+    def __init__(self, *runs: range):
+        self.runs = tuple(filter(None, runs))
+
+    def __len__(self) -> int:
+        return sum(map(len, self.runs))
+
+    def __bool__(self) -> bool:
+        return bool(self.runs)
+
+    def __iter__(self):
+        return chain.from_iterable(self.runs)
+
+    def __getitem__(self, index: int) -> int:
+        if index < 0:
+            index += len(self)
+        for run in self.runs:
+            if 0 <= index < len(run):
+                return run[index]
+            index -= len(run)
+        raise IndexError("year index out of range")
+
+    def __eq__(self, other):
+        if not isinstance(other, (list, tuple, YearRuns)):
+            return NotImplemented
+        return _same_items(self, other)
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+    def __repr__(self) -> str:
+        return f"YearRuns({', '.join(map(repr, self.runs))})"
+
+    def __str__(self) -> str:
+        ends = sorted((run[0], run[-1]) if run.step > 0 else (run[-1], run[0]) for run in self.runs)
+        return ", ".join(str(lo) if lo == hi else f"{lo}–{hi}" for lo, hi in ends)
 
 
 @dataclass(frozen=True)
@@ -67,19 +190,42 @@ class PubCitMatrix:
     def cit(self, citation_year: int, pub_year: int) -> int:
         return self.citations.get(self._check_cell(citation_year, pub_year), 0)
 
-    def window_sum(self, cells: Sequence[Cell], values: Mapping[Cell, int] | None = None) -> int:
+    def window_sum(self, cells: Window | Sequence[Cell], values: Mapping[Cell, int] | None = None) -> int:
         """Sum ``values`` (by default the citations) over a window of cells.
 
-        A window is one row, one column or a rectangle of the grid, listed
-        from one corner to the opposite one, so checking the two end cells
-        against the spans bounds every cell between them: a window reaching
-        off the grid raises ValueError, like a single-cell read. A cell that
-        ``values`` does not hold counts as zero.
+        ``cells`` is a :class:`Window`, or one row, one column or a rectangle
+        of the grid listed from one corner to the opposite one. Either way
+        checking the two end cells against the spans bounds every cell
+        between them: a window reaching off the grid raises ValueError, like
+        a single-cell read. A cell that ``values`` does not hold counts as
+        zero.
+
+        A listed window is read cell by cell. A :class:`Window` is summed
+        over the smaller side: its own cells, or the cells ``values`` stores,
+        whichever are fewer. So a window far longer than the data costs the
+        stored cells, and the window is never listed.
         """
-        if cells:
+        if values is None:
+            values = self.citations
+        if isinstance(cells, Window):
+            line, years = cells.line, cells.years
+            if not years:
+                return 0
+            if cells.axis == ROW:
+                (line_lo, line_hi), (lo, hi) = self.cite_years, self.pub_years
+            else:
+                (line_lo, line_hi), (lo, hi) = self.pub_years, self.cite_years
+            if not (line_lo <= line <= line_hi and lo <= years[0] <= hi and lo <= years[-1] <= hi):
+                self._check_cell(*cells[0])  # one of the two raises, naming its cell
+                self._check_cell(*cells[-1])
+            # Slicing the years asks "more window cells than stored cells?"
+            # without len(), which a range past sys.maxsize years cannot give.
+            if years[len(values):]:
+                return cells.stored_sum(values)
+        elif cells:
             self._check_cell(*cells[0])
             self._check_cell(*cells[-1])
-        return sum(map((self.citations if values is None else values).get, cells, repeat(0)))
+        return sum(map(values.get, cells, repeat(0)))
 
     def pub(self, year: int) -> int:
         lo, hi = self.pub_years
@@ -95,11 +241,11 @@ class PubCitMatrix:
 
     def column_total(self, pub_year: int) -> int:
         """All citations received by one publication year."""
-        return self.window_sum([(k, pub_year) for k in year_range(self.cite_years)])
+        return self.window_sum(Window(COLUMN, pub_year, year_range(self.cite_years)))
 
     def row_total(self, citation_year: int) -> int:
         """All citations given in one citation year."""
-        return self.window_sum([(citation_year, i) for i in year_range(self.pub_years)])
+        return self.window_sum(Window(ROW, citation_year, year_range(self.pub_years)))
 
 
 @dataclass(frozen=True)

@@ -23,18 +23,23 @@ first-appearance journal counts by publications (JDF) or by citations (RDF,
 from __future__ import annotations
 
 from bisect import bisect_right
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, NoReturn
 
 from .errors import UndefinedMetricError
 from .ingest import CitationEvent
 from .matrix import (
+    COLUMN,
     DIACHRONOUS,
+    ROW,
     SYNCHRONOUS,
     AugmentedMatrix,
     Cell,
     PubCitMatrix,
+    Window,
+    YearRuns,
     YearSpan,
     distinct_journals_block,
     year_range,
@@ -54,11 +59,17 @@ KINDS = (
 
 @dataclass(frozen=True)
 class MetricValue:
-    """An exact indicator value: raw sums plus the cells they came from."""
+    """An exact indicator value: raw sums plus the cells they came from.
+
+    ``effective_window`` is the cells summed: a :class:`Window` held by its
+    ends for the row and column indicators, a tuple for ``rowlands_jdf``'s
+    block. Either way it iterates, indexes and has a length, and it compares
+    and hashes equal to the tuple of its cells.
+    """
 
     numerator: int
     denominator: int
-    effective_window: tuple[Cell, ...]
+    effective_window: Sequence[Cell]
 
     @property
     def value(self) -> Fraction:
@@ -88,8 +99,10 @@ def _check_window(window: int | None) -> None:
         raise ValueError("window must be a positive number of years (or None for max)")
 
 
-def _undefined(message: str, missing: Sequence[int] = ()) -> None:
-    raise UndefinedMetricError(message, missing_years=tuple(missing))
+def _undefined(message: str, missing: Sequence[int] = ()) -> NoReturn:
+    raise UndefinedMetricError(
+        message, missing_years=missing if isinstance(missing, YearRuns) else tuple(missing)
+    )
 
 
 def _year_runs(years: Iterable[int]) -> str:
@@ -109,79 +122,69 @@ def _year_runs(years: Iterable[int]) -> str:
     return ", ".join(runs)
 
 
+def _years(first: int, last: int, step: int) -> range:
+    """Years ``first`` to ``last`` (none if first > last), ascending for step
+    1 and descending for step -1."""
+    return range(first, last + 1) if step > 0 else range(last, first - 1, -1)
+
+
+def _line_window(
+    matrix: PubCitMatrix, axis: str, line: int, start: int, window: int | None, clip: bool
+) -> Window:
+    """The cells a row or column window sums, from the window's ends alone.
+
+    A ``ROW`` window reads citation year ``line`` from publication year
+    ``start`` back ``window`` years; a ``COLUMN`` window reads publication
+    year ``line`` from citation year ``start`` forward ``window`` years.
+    ``window=None`` runs to the far end of the span. With ``clip`` the window
+    is cut to the span, and undefined only when nothing is left; without it,
+    every year must lie in the span. The years a window misses are at most
+    two runs, one beyond each end of the span, so nothing here grows with
+    the window's length.
+    """
+    _check_window(window)
+    if axis == ROW:
+        (lo, hi), step, what, side = matrix.pub_years, -1, "publication", "before"
+    else:
+        (lo, hi), step, what, side = matrix.cite_years, 1, "citation", "after"
+    if window is None:
+        w_lo, w_hi = (lo, start) if step < 0 else (start, hi)
+    elif step < 0:
+        w_lo, w_hi = start - window + 1, start
+    else:
+        w_lo, w_hi = start, start + window - 1
+    in_lo, in_hi = max(w_lo, lo), min(w_hi, hi)
+    if in_lo <= in_hi and (clip or window is None or (in_lo == w_lo and in_hi == w_hi)):
+        return Window(axis, line, _years(in_lo, in_hi, step))
+    if window is None:
+        _undefined(f"no {what} years at or {side} {start} in {lo}-{hi}", YearRuns(range(start, start + 1)))
+    if clip:
+        _undefined(
+            f"window {w_lo}-{w_hi} has no overlap with {what} years {lo}-{hi}",
+            YearRuns(_years(w_lo, w_hi, step)),
+        )
+    below, above = _years(w_lo, min(w_hi, lo - 1), step), _years(max(w_lo, hi + 1), w_hi, step)
+    missing = YearRuns(below, above) if step > 0 else YearRuns(above, below)
+    _undefined(f"{what} years {missing} are outside {lo}-{hi} and clipping is off", missing)
+
+
 def _backward_years(
     matrix: PubCitMatrix, year: int, window: int | None, clip: bool, newest_offset: int
-) -> list[int]:
+) -> YearRuns:
     """Publication years for a row-wise window, newest first.
 
     The window starts at ``year - newest_offset`` and extends ``window`` years
     into the past (offset 1 for impact factors, 0 for the diffusion family,
     which includes the in-year diagonal cell).
     """
-    _check_window(window)
-    pub_lo, pub_hi = matrix.pub_years
-    newest = year - newest_offset
-    if window is None:
-        if newest < pub_lo:
-            _undefined(
-                f"no publication years at or before {newest} in {pub_lo}-{pub_hi}",
-                [newest],
-            )
-        return list(range(min(newest, pub_hi), pub_lo - 1, -1))
-    # The overlap with the span comes from the window's ends: listing the
-    # window first would cost memory in the window's length, not the span's.
-    hi, lo = min(newest, pub_hi), max(newest - window + 1, pub_lo)
-    if clip and lo <= hi:
-        return list(range(hi, lo - 1, -1))
-    wanted = [newest - j for j in range(window)]
-    if clip:
-        _undefined(
-            f"window {wanted[-1]}-{wanted[0]} has no overlap with publication years "
-            f"{pub_lo}-{pub_hi}",
-            wanted,
-        )
-    missing = [y for y in wanted if not pub_lo <= y <= pub_hi]
-    if missing:
-        _undefined(
-            f"publication years {_year_runs(missing)} are outside {pub_lo}-{pub_hi} "
-            "and clipping is off",
-            missing,
-        )
-    return wanted
+    return YearRuns(_line_window(matrix, ROW, year, year - newest_offset, window, clip).years)
 
 
 def _forward_years(
     matrix: PubCitMatrix, year: int, window: int | None, shift: int, clip: bool
-) -> list[int]:
+) -> YearRuns:
     """Citation years for a column-wise window: year+shift onwards."""
-    _check_window(window)
-    cite_lo, cite_hi = matrix.cite_years
-    first = year + shift
-    if window is None:
-        if first > cite_hi:
-            _undefined(
-                f"no citation years at or after {first} in {cite_lo}-{cite_hi}",
-                [first],
-            )
-        return list(range(max(first, cite_lo), cite_hi + 1))
-    lo, hi = max(first, cite_lo), min(first + window - 1, cite_hi)
-    if clip and lo <= hi:
-        return list(range(lo, hi + 1))
-    wanted = [first + j for j in range(window)]
-    if clip:
-        _undefined(
-            f"window {wanted[0]}-{wanted[-1]} has no overlap with citation years "
-            f"{cite_lo}-{cite_hi}",
-            wanted,
-        )
-    missing = [k for k in wanted if not cite_lo <= k <= cite_hi]
-    if missing:
-        _undefined(
-            f"citation years {_year_runs(missing)} are outside {cite_lo}-{cite_hi} "
-            "and clipping is off",
-            missing,
-        )
-    return wanted
+    return YearRuns(_line_window(matrix, COLUMN, year, year + shift, window, clip).years)
 
 
 def _require_citation_year(matrix: PubCitMatrix, year: int) -> None:
@@ -200,6 +203,15 @@ def _require_publication_year(matrix: PubCitMatrix, year: int, *, need_articles:
         )
     if need_articles and matrix.pub(year) == 0:
         _undefined(f"no articles were published in {year}", [year])
+
+
+def _published_over(matrix: PubCitMatrix, window: Window) -> int:
+    """Articles published in the years of a row window; undefined if none."""
+    denominator = matrix.publications.total(window.years)
+    if denominator == 0:
+        years = YearRuns(window.years)
+        _undefined(f"no articles were published in {years}", years)
+    return denominator
 
 
 def _require_variant(augmented: AugmentedMatrix, variant: str) -> None:
@@ -224,7 +236,7 @@ def garfield_if(matrix: PubCitMatrix, year: int) -> MetricValue:
     denominator = matrix.pub(year - 1) + matrix.pub(year - 2)
     if denominator == 0:
         _undefined(f"no articles were published in {year - 2}-{year - 1}", prior)
-    cells = tuple((year, y) for y in prior)
+    cells = Window(ROW, year, range(year - 1, year - 3, -1))
     numerator = matrix.window_sum(cells)
     return MetricValue(numerator, denominator, cells)
 
@@ -233,11 +245,8 @@ def sync_if(matrix: PubCitMatrix, year: int, window: int | None, *, clip: bool =
     """Synchronous impact factor: one citation year's citations to the
     previous ``window`` years, divided by the articles of those years."""
     _require_citation_year(matrix, year)
-    years = _backward_years(matrix, year, window, clip, newest_offset=1)
-    denominator = matrix.publications.total(years)
-    if denominator == 0:
-        _undefined(f"no articles were published in {_year_runs(years)}", years)
-    cells = tuple((year, i) for i in years)
+    cells = _line_window(matrix, ROW, year, year - 1, window, clip)
+    denominator = _published_over(matrix, cells)
     numerator = matrix.window_sum(cells)
     return MetricValue(numerator, denominator, cells)
 
@@ -256,8 +265,7 @@ def diach_if(
     if shift < 0:
         raise ValueError("shift must be non-negative")
     _require_publication_year(matrix, year, need_articles=True)
-    citing = _forward_years(matrix, year, window, shift, clip)
-    cells = tuple((k, year) for k in citing)
+    cells = _line_window(matrix, COLUMN, year, year + shift, window, clip)
     numerator = matrix.window_sum(cells)
     return MetricValue(numerator, matrix.pub(year), cells)
 
@@ -271,11 +279,8 @@ def sync_jdf(
     _require_variant(augmented, SYNCHRONOUS)
     matrix = augmented.base
     _require_citation_year(matrix, year)
-    years = _backward_years(matrix, year, window, clip, newest_offset=0)
-    denominator = matrix.publications.total(years)
-    if denominator == 0:
-        _undefined(f"no articles were published in {_year_runs(years)}", years)
-    cells = tuple((year, i) for i in years)
+    cells = _line_window(matrix, ROW, year, year, window, clip)
+    denominator = _published_over(matrix, cells)
     numerator = matrix.window_sum(cells, augmented.unique_new)
     return MetricValue(numerator, denominator, cells)
 
@@ -288,8 +293,7 @@ def sync_rdf(
     _require_variant(augmented, SYNCHRONOUS)
     matrix = augmented.base
     _require_citation_year(matrix, year)
-    years = _backward_years(matrix, year, window, clip, newest_offset=0)
-    cells = tuple((year, i) for i in years)
+    cells = _line_window(matrix, ROW, year, year, window, clip)
     denominator = matrix.window_sum(cells)
     if denominator == 0:
         _undefined(f"no citations were made in {year} within the window", [year])
@@ -305,8 +309,7 @@ def diach_jdf(
     _require_variant(augmented, DIACHRONOUS)
     matrix = augmented.base
     _require_publication_year(matrix, year, need_articles=True)
-    citing = _forward_years(matrix, year, window, shift=0, clip=clip)
-    cells = tuple((k, year) for k in citing)
+    cells = _line_window(matrix, COLUMN, year, year, window, clip)
     numerator = matrix.window_sum(cells, augmented.unique_new)
     return MetricValue(numerator, matrix.pub(year), cells)
 
@@ -319,8 +322,7 @@ def diach_rdf(
     _require_variant(augmented, DIACHRONOUS)
     matrix = augmented.base
     _require_publication_year(matrix, year, need_articles=False)
-    citing = _forward_years(matrix, year, window, shift=0, clip=clip)
-    cells = tuple((k, year) for k in citing)
+    cells = _line_window(matrix, COLUMN, year, year, window, clip)
     denominator = matrix.window_sum(cells)
     if denominator == 0:
         _undefined(f"articles published in {year} received no citations in the window", [year])

@@ -367,3 +367,21 @@ def test_a_stray_year_costs_its_non_zero_cells_not_the_grid(tmp_path, capsys):
     assert len(fx.matrix.citations) == len(nonzero)
     assert fx.matrix.cit(5000, 5000) == 0
     assert len(fx.sync.unique_new) <= len(nonzero) and len(fx.diach.unique_new) <= len(nonzero)
+
+
+class TestPrecisionLimit:
+    ARGV = ["metric", "--matrix", MJM, "--kind", "diach_rdf", "--year", "2006", "--window", "5"]
+
+    def test_the_limit_itself_renders_every_digit(self, capsys):
+        assert main(self.ARGV + ["--precision", "1000"]) == 0
+        rendered, exact = capsys.readouterr().out.strip().split(" ", 1)
+        whole, digits = rendered.split(".")
+        assert (whole, len(digits), exact) == ("0", 1000, "(exact 206/253)")
+        assert digits.startswith("8142292490")
+
+    @pytest.mark.parametrize("precision", ["1001", "100000000"])
+    def test_above_the_limit_is_a_one_line_usage_error(self, precision, capsys):
+        assert main(self.ARGV + ["--precision", precision]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"citemetrics: error: --precision must be at most 1000, got {precision}\n"

@@ -1,0 +1,322 @@
+"""Windows held by their ends, checked against windows listed year by year.
+
+Every indicator sums a row or column window. The library keeps a window as
+a ``Window`` (axis, line, range of years) and the years it misses as a
+``YearRuns`` value; the reference here lists every year and every cell, as
+the indicators once did, and sums cell by cell.
+"""
+
+import random
+
+import pytest
+
+from citemetrics.errors import UndefinedMetricError
+from citemetrics.ingest import PublicationLedger
+from citemetrics.matrix import (
+    COLUMN,
+    DIACHRONOUS,
+    ROW,
+    SYNCHRONOUS,
+    Window,
+    YearRuns,
+    augment,
+    matrix_from_counts,
+)
+from citemetrics.metrics import (
+    MetricRequest,
+    _backward_years,
+    _forward_years,
+    _year_runs,
+    evaluate,
+)
+
+WINDOW_KINDS = ("sync_if", "diach_if", "sync_jdf", "diach_jdf", "sync_rdf", "diach_rdf")
+
+
+def listed(lo, hi, start, window, step, clip):
+    """``(years, missing, wanted)`` for a window listed year by year from
+    ``start`` (step -1: into the past, +1: forward) and cut to or checked
+    against the span ``lo..hi``; ``years`` is None when it is undefined."""
+    if window is None:
+        wanted = list(range(start, (lo if step < 0 else hi) + step, step))
+        years = [y for y in wanted if lo <= y <= hi]
+        return (years or None), ([] if years else [start]), wanted
+    wanted = [start + step * j for j in range(window)]
+    inside = [y for y in wanted if lo <= y <= hi]
+    missing = [y for y in wanted if not lo <= y <= hi]
+    if clip:
+        return (inside or None), ([] if inside else wanted), wanted
+    return (None if missing else wanted), missing, wanted
+
+
+def random_fixture(rng):
+    """A sparse matrix and both augmentations: spans of up to 15 years and
+    at most 25 stored cells, so some windows are longer than the stored
+    cells of a map and some are shorter."""
+    pub_lo = rng.randint(1990, 2000)
+    pub_hi = pub_lo + rng.randint(0, 14)
+    cite_lo = pub_lo + rng.randint(-2, 5)
+    cite_hi = max(cite_lo, pub_hi) + rng.randint(0, 6)
+    ledger = PublicationLedger(
+        {y: rng.choice((0, rng.randint(1, 30), rng.randint(1, 30))) for y in range(pub_lo, pub_hi + 1)}
+    )
+    counts, journals = {}, {}
+    for _ in range(rng.randint(0, 25)):
+        cell = (rng.randint(cite_lo, cite_hi), rng.randint(pub_lo, pub_hi))
+        names = {f"j{rng.randint(0, 6)}" for _ in range(rng.randint(1, 4))}
+        counts[cell] = counts.get(cell, 0) + len(names) + rng.randint(0, 3)
+        journals.setdefault(cell, set()).update(names)
+    matrix = matrix_from_counts(counts, ledger, (pub_lo, pub_hi), (cite_lo, cite_hi))
+    return matrix, augment(matrix, journals, SYNCHRONOUS), augment(matrix, journals, DIACHRONOUS)
+
+
+def brute_force(kind, matrix, sync, diach, year, window, shift, clip):
+    """``(numerator, denominator, cells)`` summed over listed cells, or None
+    when the request is undefined."""
+    (pub_lo, pub_hi), (cite_lo, cite_hi) = matrix.pub_years, matrix.cite_years
+    pubs, cit = matrix.publications.counts, matrix.citations
+    if kind.startswith("sync"):
+        if not cite_lo <= year <= cite_hi:
+            return None
+        start = year - 1 if kind == "sync_if" else year
+        years = listed(pub_lo, pub_hi, start, window, -1, clip)[0]
+        if years is None:
+            return None
+        cells = tuple((year, i) for i in years)
+    else:
+        if not pub_lo <= year <= pub_hi or (kind != "diach_rdf" and pubs[year] == 0):
+            return None
+        start = year + shift if kind == "diach_if" else year
+        years = listed(cite_lo, cite_hi, start, window, 1, clip)[0]
+        if years is None:
+            return None
+        cells = tuple((k, year) for k in years)
+    unique = (sync if kind.startswith("sync") else diach).unique_new
+    cit_sum = sum(cit.get(cell, 0) for cell in cells)
+    uniq_sum = sum(unique.get(cell, 0) for cell in cells)
+    numerator = cit_sum if kind.endswith("_if") else uniq_sum
+    if kind.endswith("_rdf"):
+        denominator = cit_sum
+    elif kind.startswith("sync"):
+        denominator = sum(pubs[i] for i in years)
+    else:
+        denominator = pubs[year]
+    return None if denominator == 0 else (numerator, denominator, cells)
+
+
+def test_every_kind_matches_a_brute_force_sum_over_listed_cells():
+    rng = random.Random(61)
+    sides = {"cells": 0, "stored": 0}
+    compared = undefined = 0
+    for _ in range(250):
+        matrix, sync, diach = random_fixture(rng)
+        (pub_lo, pub_hi), (cite_lo, cite_hi) = matrix.pub_years, matrix.cite_years
+        for _ in range(40):
+            kind = rng.choice(WINDOW_KINDS)
+            year = rng.randint(min(pub_lo, cite_lo) - 2, max(pub_hi, cite_hi) + 2)
+            window = rng.choice((None, rng.randint(1, 3), rng.randint(1, 40)))
+            shift = rng.randint(0, 3) if kind == "diach_if" else 1
+            clip = rng.random() < 0.6
+            expected = brute_force(kind, matrix, sync, diach, year, window, shift, clip)
+            request = MetricRequest(kind, year, window, shift, clip)
+            if expected is None:
+                with pytest.raises(UndefinedMetricError):
+                    evaluate(request, matrix, sync, diach)
+                undefined += 1
+                continue
+            got = evaluate(request, matrix, sync, diach)
+            numerator, denominator, cells = expected
+            assert (got.numerator, got.denominator) == (numerator, denominator), request
+            window_cells = got.effective_window
+            assert tuple(window_cells) == cells and window_cells == cells
+            assert hash(window_cells) == hash(cells)
+            assert len(window_cells) == len(cells)
+            assert (window_cells[0], window_cells[-1]) == (cells[0], cells[-1])
+            for values in (matrix.citations, sync.unique_new, diach.unique_new):
+                sides["stored" if len(values) < len(cells) else "cells"] += 1
+            compared += 1
+    assert compared > 2000 and undefined > 500
+    assert min(sides.values()) > 1000, sides
+
+
+def test_garfield_window_is_the_two_prior_years():
+    rng = random.Random(62)
+    for _ in range(100):
+        matrix, _, _ = random_fixture(rng)
+        for year in range(matrix.cite_years[0], matrix.cite_years[1] + 1):
+            try:
+                got = evaluate(MetricRequest("garfield_if", year), matrix)
+            except UndefinedMetricError:
+                continue
+            cells = ((year, year - 1), (year, year - 2))
+            assert got.effective_window == cells and hash(got.effective_window) == hash(cells)
+            assert got.numerator == sum(matrix.citations.get(cell, 0) for cell in cells)
+
+
+@pytest.mark.parametrize("clip", [True, False])
+def test_window_years_and_missing_runs_equal_the_listed_filter(clip):
+    """Both directions; starts and windows reach past either end of the span
+    and past both at once."""
+    rng = random.Random(63 + clip)
+    overhang_both = 0
+    for _ in range(60):
+        matrix, _, _ = random_fixture(rng)
+        for axis, (lo, hi) in ((ROW, matrix.pub_years), (COLUMN, matrix.cite_years)):
+            step = -1 if axis == ROW else 1
+            for _ in range(30):
+                year = rng.randint(lo - 6, hi + 6)
+                window = rng.choice((None, rng.randint(1, hi - lo + 14)))
+                offset = rng.randint(0, 3)
+                if axis == ROW:
+                    start = year - offset
+                    call = lambda: _backward_years(matrix, year, window, clip, offset)
+                else:
+                    start = year + offset
+                    call = lambda: _forward_years(matrix, year, window, offset, clip)
+                years, missing, wanted = listed(lo, hi, start, window, step, clip)
+                if wanted and min(wanted) < lo and max(wanted) > hi:
+                    overhang_both += 1
+                if years is not None:
+                    got = call()
+                    assert got == years and got == tuple(years) and list(got) == years
+                    assert hash(got) == hash(tuple(years)) and len(got) == len(years)
+                    continue
+                with pytest.raises(UndefinedMetricError) as err:
+                    call()
+                got = err.value.missing_years
+                assert got == tuple(missing) and got == missing and tuple(got) == tuple(missing)
+                assert hash(got) == hash(tuple(missing))
+                what = "publication" if axis == ROW else "citation"
+                if window is None:
+                    side = "before" if axis == ROW else "after"
+                    text = f"no {what} years at or {side} {start} in {lo}-{hi}"
+                elif clip:
+                    text = f"window {min(wanted)}-{max(wanted)} has no overlap with {what} years {lo}-{hi}"
+                else:
+                    text = f"{what} years {_year_runs(missing)} are outside {lo}-{hi} and clipping is off"
+                    assert str(got) == _year_runs(missing)
+                assert str(err.value) == text
+    assert overhang_both > 20
+
+
+def test_a_window_of_1e11_years_misses_two_runs_not_a_list(mjm):
+    with pytest.raises(UndefinedMetricError) as err:
+        _backward_years(mjm.matrix, 2006, 10**11, False, 0)
+    missing = err.value.missing_years
+    assert missing.runs == (range(2003, 2006 - 10**11, -1),)
+    assert str(err.value) == (
+        "publication years -99999997993–2003 are outside 2004-2008 and clipping is off"
+    )
+    with pytest.raises(UndefinedMetricError) as err:
+        _forward_years(mjm.matrix, 2000, 10**11, 1, False)
+    assert err.value.missing_years.runs == (range(2001, 2004), range(2011, 2001 + 10**11))
+    assert str(err.value) == (
+        "citation years 2001–2003, 2011–100000002000 are outside 2004-2010 and clipping is off"
+    )
+
+
+class TestWindowValue:
+    def test_a_row_window_is_the_tuple_of_its_cells(self):
+        window = Window(ROW, 2010, range(2008, 2004, -1))
+        cells = ((2010, 2008), (2010, 2007), (2010, 2006), (2010, 2005))
+        assert tuple(window) == cells and window == cells and cells == window
+        assert hash(window) == hash(cells) and len(window) == 4
+        assert window[0] == (2010, 2008) and window[-1] == (2010, 2005)
+        assert window[1:3] == cells[1:3]
+        assert window != cells[:3] and window != list(cells)
+        with pytest.raises(IndexError):
+            window[4]
+
+    def test_a_column_window_is_the_tuple_of_its_cells(self):
+        window = Window(COLUMN, 2004, range(2005, 2008))
+        cells = ((2005, 2004), (2006, 2004), (2007, 2004))
+        assert window == cells and hash(window) == hash(cells)
+        assert window == Window(COLUMN, 2004, range(2005, 2008))
+        assert window != Window(COLUMN, 2005, range(2005, 2008))
+        assert window != Window(ROW, 2004, range(2005, 2008))
+
+    def test_windows_of_one_cell_or_none_compare_by_their_cells(self):
+        assert Window(ROW, 2006, range(2004, 2005)) == Window(COLUMN, 2004, range(2006, 2007))
+        assert Window(ROW, 2006, range(0)) == Window(COLUMN, 1999, range(5, 5)) == ()
+        assert not Window(ROW, 2006, range(0))
+
+    def test_an_unknown_axis_is_refused(self):
+        with pytest.raises(ValueError, match="axis"):
+            Window("diagonal", 2006, range(3))
+
+    def test_window_sum_takes_either_side_and_agrees_with_listed_cells(self):
+        rng = random.Random(64)
+        sides = {"cells": 0, "stored": 0}
+        for _ in range(200):
+            matrix, sync, diach = random_fixture(rng)
+            (pub_lo, pub_hi), (cite_lo, cite_hi) = matrix.pub_years, matrix.cite_years
+            for values in (matrix.citations, sync.unique_new, diach.unique_new):
+                k = rng.randint(cite_lo, cite_hi)
+                a, b = sorted((rng.randint(pub_lo, pub_hi), rng.randint(pub_lo, pub_hi)))
+                row = Window(ROW, k, range(b, a - 1, -1))
+                i = rng.randint(pub_lo, pub_hi)
+                a, b = sorted((rng.randint(cite_lo, cite_hi), rng.randint(cite_lo, cite_hi)))
+                column = Window(COLUMN, i, range(a, b + 1))
+                for window in (row, column):
+                    cells = tuple(window)
+                    assert matrix.window_sum(window, values) == matrix.window_sum(cells, values)
+                    assert matrix.window_sum(window, values) == sum(values.get(c, 0) for c in cells)
+                    sides["stored" if len(values) < len(cells) else "cells"] += 1
+        assert min(sides.values()) > 100, sides
+
+    @pytest.mark.parametrize(
+        "window",
+        [
+            Window(ROW, 2004, range(2003, 2005)),  # first cell off the grid
+            Window(COLUMN, 2008, range(2010, 2012)),  # last cell off the grid
+            Window(ROW, 2011, range(2008, 2003, -1)),  # the line itself off the grid
+            Window(COLUMN, 2008, range(2004, 10**11)),  # longer than the map
+        ],
+    )
+    def test_a_window_off_the_grid_raises_like_its_listed_cells(self, mjm, window):
+        with pytest.raises(ValueError, match="outside the matrix") as err:
+            mjm.matrix.window_sum(window)
+        cells = [window[0], window[-1]]
+        with pytest.raises(ValueError) as listed_err:
+            mjm.matrix.window_sum(cells)
+        assert str(err.value) == str(listed_err.value)
+
+    def test_a_window_longer_than_sys_maxsize_sums_its_stored_cells(self):
+        ledger = PublicationLedger({2004: 1})
+        matrix = matrix_from_counts({(2004, 2004): 3, (10**30, 2004): 2}, ledger, (2004, 2004), (2004, 10**30))
+        window = Window(COLUMN, 2004, range(2004, 10**30 + 1))
+        assert matrix.window_sum(window) == 5
+        assert matrix.column_total(2004) == 5
+
+
+class TestYearRuns:
+    def test_runs_equal_the_list_and_tuple_they_stand_for(self):
+        runs = YearRuns(range(2012, 2009, -1), range(2003, 2001, -1))
+        years = [2012, 2011, 2010, 2003, 2002]
+        assert runs == years and runs == tuple(years) and years == runs
+        assert hash(runs) == hash(tuple(years))
+        assert len(runs) == 5 and list(runs) == years
+        assert [runs[j] for j in range(-5, 5)] == years + years
+        assert 2011 in runs and 2005 not in runs
+        assert runs != years[:-1] and runs != years + [2001] and runs != set(years)
+        assert str(runs) == _year_runs(years) == "2002–2003, 2010–2012"
+
+    def test_empty_runs_are_dropped(self):
+        runs = YearRuns(range(5, 5), range(2006, 2007))
+        assert runs.runs == (range(2006, 2007),)
+        assert runs == (2006,) and str(runs) == "2006"
+        assert not YearRuns(range(0)) and YearRuns() == ()
+
+    def test_year_runs_text_of_random_runs(self):
+        rng = random.Random(65)
+        for _ in range(300):
+            a = rng.randint(1990, 2010)
+            b = a + rng.randint(0, 5)
+            c = b + rng.randint(2, 6)
+            d = c + rng.randint(0, 5)
+            step = rng.choice((1, -1))
+            first, second = range(a, b + 1), range(c, d + 1)
+            if step < 0:
+                first, second = range(d, c - 1, -1), range(b, a - 1, -1)
+            runs = YearRuns(first, second)
+            assert str(runs) == _year_runs(list(runs))
