@@ -385,3 +385,24 @@ def test_load_fixture_rejects_undecodable_and_deeply_nested_files(tmp_path):
     path.write_text("[" * 100_000 + "]" * 100_000)
     with pytest.raises(FixtureError, match="not valid JSON"):
         load_fixture(path)
+
+
+@pytest.mark.parametrize(
+    ("pub_years", "publications", "covers"),
+    [
+        ([2004, 2004], {"2004": 1, " 2004": 2}, True),
+        ([2004, 2005], {"2004": 1, " 2004": 2, "2005": 3}, True),
+        ([2004, 2006], {"2004": 1, " 2004": 2, "2005": 3}, False),
+        ([2004, 2005], {"2004": 1, "2006": 2}, False),
+        ([2004, 2005], {"2004": 1, "+2005": 2, "2003": 2}, False),
+        ([2004, 2005], {"2004": 1, "2005": 2, "2006": 2}, False),
+    ],
+)
+def test_publications_cover_the_span_by_distinct_years(pub_years, publications, covers):
+    """Keys that parse to one year count once, and the last one's value wins."""
+    doc = {"pub_years": pub_years, "cite_years": [0, 0], "publications": publications, "citations": []}
+    if covers:
+        assert load_document(doc).matrix.pub(2004) == 2
+    else:
+        with pytest.raises(FixtureError, match="^publications must cover exactly the pub_years span$"):
+            load_document(doc)

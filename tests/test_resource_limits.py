@@ -135,3 +135,18 @@ def test_an_unclipped_window_of_1e11_years_is_undefined_in_one_line(kind, messag
     argv = ["metric", "--matrix", str(DATA / "mjm_fixture.json"), "--kind", kind, "--year", year]
     argv += ["--window", "100000000000", "--no-clip"]
     assert run_limited(*argv)[:3] == (2, "", [f"citemetrics: undefined: {message}"])
+
+
+def test_a_publication_span_of_1e11_years_is_rejected_in_one_line(tmp_path):
+    """Coverage of the publication span is checked from its ends, not by
+    listing its years."""
+    fx = tmp_path / "pubspan.json"
+    doc = {"pub_years": [0, 10**11], "cite_years": [0, 0], "publications": {"0": 1}, "citations": []}
+    fx.write_text(json.dumps(doc) + "\n")
+    assert fx.stat().st_size == 98
+    for argv in (["metric", "--kind", "garfield_if", "--year", "0"], ["report"]):
+        code, out, err, peak = run_limited(*argv, "--matrix", str(fx))
+        assert (code, out) == (3, "")
+        assert err == ["citemetrics: bad fixture: publications must cover exactly the pub_years span"]
+        if peak is not None:
+            assert peak < 100 * 1024
