@@ -1,0 +1,204 @@
+"""Every refusal the indicators raise, pinned by its exact text.
+
+One case per raise site: the message and the years it names are what the
+CLI prints and what a library caller inspects, so they must survive any
+change to how the indicators are put together.
+"""
+
+import pytest
+
+from citemetrics.errors import UndefinedMetricError
+from citemetrics.ingest import PublicationLedger
+from citemetrics.metrics import (
+    MetricRequest,
+    diach_if,
+    diach_jdf,
+    diach_rdf,
+    evaluate,
+    garfield_if,
+    sync_if,
+    sync_jdf,
+    sync_rdf,
+)
+
+from helpers import build_all, ev
+
+
+@pytest.fixture(scope="module")
+def sparse():
+    """No articles in 2004, 2005 and 2007; one citation in 2006 and one in
+    2007, each to the year before."""
+    return build_all(
+        [ev("A", 2006, 2006), ev("A", 2007, 2005)],
+        PublicationLedger({2004: 0, 2005: 0, 2006: 5, 2007: 0}),
+        (2004, 2007),
+        (2004, 2008),
+    )
+
+
+def _undefined(fn, *args, **kwargs):
+    with pytest.raises(UndefinedMetricError) as err:
+        fn(*args, **kwargs)
+    return str(err.value), tuple(err.value.missing_years)
+
+
+def _refused(fn, *args, **kwargs):
+    with pytest.raises(ValueError) as err:
+        fn(*args, **kwargs)
+    return str(err.value)
+
+
+def test_garfield_needs_both_prior_years(mjm):
+    assert _undefined(garfield_if, mjm.matrix, 2004) == (
+        "impact factor for 2004 needs publications in 2002 and 2003; 2002–2003 outside 2004-2008",
+        (2003, 2002),
+    )
+    assert _undefined(garfield_if, mjm.matrix, 2005) == (
+        "impact factor for 2005 needs publications in 2003 and 2004; 2003 outside 2004-2008",
+        (2003,),
+    )
+
+
+def test_garfield_needs_articles_in_the_prior_years(sparse):
+    matrix, _, _ = sparse
+    assert _undefined(garfield_if, matrix, 2006) == (
+        "no articles were published in 2004-2005",
+        (2005, 2004),
+    )
+
+
+@pytest.mark.parametrize(
+    ("fn", "source", "year", "window"),
+    [
+        (garfield_if, 0, 2011, ()),
+        (sync_if, 0, 2011, (2,)),
+        (sync_jdf, 1, 2003, (2,)),
+        (sync_rdf, 1, 2011, (None,)),
+    ],
+)
+def test_a_row_outside_the_citation_years(mjm, fn, source, year, window):
+    matrix = (mjm.matrix, mjm.sync)[source]
+    assert _undefined(fn, matrix, year, *window) == (
+        f"{year} is outside the citation years 2004-2010",
+        (year,),
+    )
+
+
+@pytest.mark.parametrize(
+    ("fn", "source", "year"),
+    [(diach_if, 0, 2009), (diach_jdf, 1, 2003), (diach_rdf, 1, 2009)],
+)
+def test_a_column_outside_the_publication_years(mjm, fn, source, year):
+    matrix = (mjm.matrix, mjm.diach)[source]
+    assert _undefined(fn, matrix, year, 2) == (
+        f"{year} is outside the publication years 2004-2008",
+        (year,),
+    )
+
+
+@pytest.mark.parametrize(("fn", "source"), [(diach_if, 0), (diach_jdf, 2)])
+def test_no_articles_in_the_year(sparse, fn, source):
+    assert _undefined(fn, sparse[source], 2005, 2) == (
+        "no articles were published in 2005",
+        (2005,),
+    )
+
+
+@pytest.mark.parametrize(("fn", "source", "window"), [(sync_if, 0, 2), (sync_jdf, 1, None)])
+def test_no_articles_over_the_window(sparse, fn, source, window):
+    year = 2006 if fn is sync_if else 2005
+    assert _undefined(fn, sparse[source], year, window) == (
+        "no articles were published in 2004–2005",
+        (2005, 2004),
+    )
+
+
+def test_no_citations_in_a_row_window(sparse):
+    _, sync, _ = sparse
+    assert _undefined(sync_rdf, sync, 2005, 1) == (
+        "no citations were made in 2005 within the window",
+        (2005,),
+    )
+
+
+def test_no_citations_in_a_column_window(sparse):
+    _, _, diach = sparse
+    assert _undefined(diach_rdf, diach, 2004, None) == (
+        "articles published in 2004 received no citations in the window",
+        (2004,),
+    )
+
+
+def test_a_max_window_with_no_years_left(mjm):
+    assert _undefined(sync_if, mjm.matrix, 2004, None) == (
+        "no publication years at or before 2003 in 2004-2008",
+        (2003,),
+    )
+    assert _undefined(diach_if, mjm.matrix, 2008, None, shift=3) == (
+        "no citation years at or after 2011 in 2004-2010",
+        (2011,),
+    )
+
+
+def test_a_clipped_window_with_no_overlap(mjm):
+    assert _undefined(sync_if, mjm.matrix, 2004, 2) == (
+        "window 2002-2003 has no overlap with publication years 2004-2008",
+        (2003, 2002),
+    )
+    assert _undefined(diach_if, mjm.matrix, 2008, 2, shift=3) == (
+        "window 2011-2012 has no overlap with citation years 2004-2010",
+        (2011, 2012),
+    )
+
+
+def test_an_unclipped_window_past_the_span(mjm):
+    assert _undefined(sync_if, mjm.matrix, 2005, 3, clip=False) == (
+        "publication years 2002–2003 are outside 2004-2008 and clipping is off",
+        (2003, 2002),
+    )
+    assert _undefined(diach_rdf, mjm.diach, 2008, 10, clip=False) == (
+        "citation years 2011–2017 are outside 2004-2010 and clipping is off",
+        tuple(range(2011, 2018)),
+    )
+
+
+def test_the_wrong_augmentation_variant(mjm):
+    assert _refused(sync_jdf, mjm.diach, 2006, 2) == (
+        "this metric needs the synchronous augmentation, got diachronous"
+    )
+    assert _refused(diach_rdf, mjm.sync, 2006, 2) == (
+        "this metric needs the diachronous augmentation, got synchronous"
+    )
+
+
+@pytest.mark.parametrize(
+    ("kind", "variant"),
+    [
+        ("sync_jdf", "synchronous"),
+        ("sync_rdf", "synchronous"),
+        ("diach_jdf", "diachronous"),
+        ("diach_rdf", "diachronous"),
+    ],
+)
+def test_a_missing_augmentation(mjm, kind, variant):
+    request = MetricRequest(kind, 2006, 2)
+    assert _refused(evaluate, request, mjm.matrix) == f"{kind} needs the {variant} augmented matrix"
+
+
+def test_a_negative_shift(mjm):
+    assert _refused(diach_if, mjm.matrix, 2006, 2, shift=-1) == "shift must be non-negative"
+    assert _refused(MetricRequest, "diach_if", 2006, 2, shift=-1) == "shift must be non-negative"
+
+
+def test_a_non_positive_window_and_an_unknown_kind(mjm):
+    message = "window must be a positive number of years (or None for max)"
+    assert _refused(sync_if, mjm.matrix, 2006, 0) == message
+    assert _refused(MetricRequest, "sync_if", 2006, 0) == message
+    assert _refused(MetricRequest, "nope", 2006) == "unknown metric kind 'nope'"
+
+
+def test_rowlands_has_no_request_form(mjm):
+    request = MetricRequest("rowlands_jdf", 2006, 2)
+    assert _refused(evaluate, request, mjm.matrix, mjm.sync, mjm.diach) == (
+        "rowlands_jdf works on citation events; call rowlands_jdf() directly"
+    )
