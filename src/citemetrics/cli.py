@@ -27,7 +27,7 @@ from .errors import (
 from .fixture import load_fixture, save_fixture
 from .ingest import index_citations, load_alias_table, parse_publications
 from .matrix import DIACHRONOUS, SYNCHRONOUS, augment, matrix_from_counts
-from .metrics import MetricRequest, evaluate
+from .metrics import INDICATORS, REQUEST_KINDS, MetricRequest, evaluate
 from .report import build_report, format_ratio, render_csv, render_structured, render_table
 
 EXIT_OK = 0
@@ -39,16 +39,8 @@ EXIT_FIXTURE = 3
 # 10**precision and prints every digit, so an unbounded value would hang on
 # the power or hit Python's limit on int-to-str digits.
 MAX_PRECISION = 1000
-
-_METRIC_KINDS = (
-    "garfield_if",
-    "sync_if",
-    "diach_if",
-    "sync_jdf",
-    "diach_jdf",
-    "sync_rdf",
-    "diach_rdf",
-)
+# Years a report lists, and cells a structured metric lists, one by one.
+MAX_LISTED = 10**4
 
 
 class _Parser(argparse.ArgumentParser):
@@ -72,7 +64,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     metric = sub.add_parser("metric", help="evaluate one indicator")
     metric.add_argument("--matrix", required=True, help="fixture file to read")
-    metric.add_argument("--kind", required=True, choices=_METRIC_KINDS)
+    metric.add_argument("--kind", required=True, choices=REQUEST_KINDS)
     metric.add_argument("--year", required=True, type=int)
     metric.add_argument("--window", help="window length in years, or 'max'")
     metric.add_argument("--shift", type=int, default=1, help="first citing year offset (diach_if only)")
@@ -170,15 +162,13 @@ def cmd_metric(args) -> int:
         raise ParseError("--precision must be non-negative")
     if args.precision > MAX_PRECISION:
         raise ParseError(f"--precision must be at most {MAX_PRECISION}, got {args.precision}")
+    if args.shift < 0:
+        raise ParseError(f"--shift must be non-negative, got {args.shift}")
     fixture = load_fixture(args.matrix)
-    if args.kind in ("sync_jdf", "sync_rdf") and fixture.sync is None:
-        raise FixtureError(
-            f"{args.matrix} has no unique_new_sync block; regenerate it with 'citemetrics ingest'"
-        )
-    if args.kind in ("diach_jdf", "diach_rdf") and fixture.diach is None:
-        raise FixtureError(
-            f"{args.matrix} has no unique_new_diach block; regenerate it with 'citemetrics ingest'"
-        )
+    variant = INDICATORS[args.kind].variant if args.kind in INDICATORS else None
+    if variant is not None and {SYNCHRONOUS: fixture.sync, DIACHRONOUS: fixture.diach}[variant] is None:
+        block = "unique_new_sync" if variant == SYNCHRONOUS else "unique_new_diach"
+        raise FixtureError(f"{args.matrix} has no {block} block; regenerate it with 'citemetrics ingest'")
     request = MetricRequest(
         kind=args.kind,
         year=args.year,
@@ -189,6 +179,8 @@ def cmd_metric(args) -> int:
     value = evaluate(request, fixture.matrix, fixture.sync, fixture.diach)
     rendered = format_ratio(value.numerator, value.denominator, args.precision)
     if args.format == "structured":
+        if value.effective_window[MAX_LISTED:]:
+            raise ParseError(f"--format structured lists every cell, and this window has more than {MAX_LISTED}")
         print(
             json.dumps(
                 {
@@ -216,6 +208,9 @@ def cmd_report(args) -> int:
             f"{args.matrix} lacks the unique_new_sync/unique_new_diach blocks the report needs; "
             "regenerate it with 'citemetrics ingest'"
         )
+    (pub_lo, pub_hi), (cite_lo, cite_hi) = fixture.matrix.pub_years, fixture.matrix.cite_years
+    if max(pub_hi, cite_hi) - min(pub_lo, cite_lo) >= MAX_LISTED:
+        raise ParseError(f"a report lists each of its years, at most {MAX_LISTED}; this fixture spans more")
     rows = build_report(fixture.matrix, fixture.sync, fixture.diach)
     if args.format == "csv":
         sys.stdout.write(render_csv(rows))

@@ -47,6 +47,10 @@ _FIELDS = {
 }
 _REQUIRED = ("pub_years", "cite_years", "publications", "citations")
 _TRIPLE_BLOCKS = ("citations", "unique_new_sync", "unique_new_diach")
+# The largest publication or citation count a fixture may hold. A rendering
+# at the highest precision then stays far inside Python's limit on the
+# digits of an int-to-str conversion.
+MAX_COUNT = 10**18
 # One triple as json.dumps(indent=2) lays it out inside a top-level list.
 _TRIPLE = "    [\n      {},\n      {},\n      {}\n    ]"
 
@@ -120,6 +124,14 @@ def _triples(
     return out
 
 
+def _bounded(counts: Mapping[Any, int], name: str) -> None:
+    """Refuse a block holding a count above MAX_COUNT. One ``max`` over the
+    block, after its loop, costs a small share of the loop."""
+    if counts and max(counts.values()) > MAX_COUNT:
+        where = max(counts, key=counts.__getitem__)
+        raise FixtureError(f"{name} count at {where} is above the limit of 10**18")
+
+
 def load_document(doc: Any) -> MatrixFixture:
     """Validate a parsed JSON document and build the matrices it describes.
 
@@ -155,8 +167,10 @@ def load_document(doc: Any) -> MatrixFixture:
     pub_lo, pub_hi = pub_years
     if len(counts) != pub_hi - pub_lo + 1 or not all(pub_lo <= year <= pub_hi for year in counts):
         raise FixtureError("publications must cover exactly the pub_years span")
+    _bounded(counts, "publications")
 
     cells = _triples(doc["citations"], "citations", cite_years, pub_years, allow_backdated=True)
+    _bounded(cells, "citations")
     matrix = PubCitMatrix(pub_years, cite_years, PublicationLedger(counts), cells)
 
     def augmented(field: str, variant: str) -> AugmentedMatrix | None:
@@ -225,7 +239,9 @@ def load_fixture(path: str | Path) -> MatrixFixture:
     with open(path, encoding="utf-8") as fh:
         try:
             doc = json.load(fh, object_pairs_hook=_object_without_duplicates)
-        except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
+        # ValueError covers JSONDecodeError, UnicodeDecodeError and an
+        # integer literal past Python's int-to-str digit limit.
+        except (ValueError, RecursionError) as exc:
             raise FixtureError(f"{path}: not valid JSON ({exc})") from None
         except FixtureError as exc:
             raise FixtureError(f"{path}: {exc}") from None

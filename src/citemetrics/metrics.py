@@ -23,9 +23,10 @@ first-appearance journal counts by publications (JDF) or by citations (RDF,
 from __future__ import annotations
 
 from bisect import bisect_right
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from typing import Iterable, NoReturn
 
 from .errors import UndefinedMetricError
@@ -44,18 +45,6 @@ from .matrix import (
     distinct_journals_block,
     year_range,
 )
-
-KINDS = (
-    "garfield_if",
-    "sync_if",
-    "diach_if",
-    "sync_jdf",
-    "diach_jdf",
-    "sync_rdf",
-    "diach_rdf",
-    "rowlands_jdf",
-)
-
 
 @dataclass(frozen=True)
 class MetricValue:
@@ -187,43 +176,75 @@ def _forward_years(
     return YearRuns(_line_window(matrix, COLUMN, year, year + shift, window, clip).years)
 
 
-def _require_citation_year(matrix: PubCitMatrix, year: int) -> None:
-    if not matrix.covers_cite_year(year):
-        _undefined(
-            f"{year} is outside the citation years {matrix.cite_years[0]}-{matrix.cite_years[1]}",
-            [year],
-        )
-
-
-def _require_publication_year(matrix: PubCitMatrix, year: int, *, need_articles: bool) -> None:
-    if not matrix.covers_pub_year(year):
-        _undefined(
-            f"{year} is outside the publication years {matrix.pub_years[0]}-{matrix.pub_years[1]}",
-            [year],
-        )
+def _check_line(matrix: PubCitMatrix, axis: str, year: int, *, need_articles: bool = False) -> None:
+    """A row's citation year, or a column's publication year, must lie in its
+    span; with ``need_articles`` the column's year must have articles."""
+    (lo, hi), what = (matrix.cite_years, "citation") if axis == ROW else (matrix.pub_years, "publication")
+    if not lo <= year <= hi:
+        _undefined(f"{year} is outside the {what} years {lo}-{hi}", [year])
     if need_articles and matrix.pub(year) == 0:
         _undefined(f"no articles were published in {year}", [year])
 
 
-def _published_over(matrix: PubCitMatrix, window: Window) -> int:
-    """Articles published in the years of a row window; undefined if none."""
-    denominator = matrix.publications.total(window.years)
-    if denominator == 0:
-        years = YearRuns(window.years)
-        _undefined(f"no articles were published in {years}", years)
-    return denominator
+@dataclass(frozen=True)
+class Indicator:
+    """A windowed indicator as one choice on each of four axes: the line it
+    reads (``ROW``: a citation year, back over publication years; ``COLUMN``:
+    a publication year, forward over citation years); the window's start,
+    ``offset`` years from the line (``None``: the request's shift); the
+    numerator, citations or the unique-new counts of an augmentation
+    ``variant``; and the denominator, articles or, if ``relative``, citations.
+    """
+
+    axis: str
+    offset: int | None
+    variant: str | None
+    relative: bool
+
+    def __call__(
+        self, source: PubCitMatrix | AugmentedMatrix, year: int, window: int | None, shift: int = 1, clip: bool = True
+    ) -> MetricValue:
+        """The indicator for ``year`` over ``source``: the matrix, or the
+        augmented matrix of ``variant``."""
+        if self.variant is not None and source.variant != self.variant:
+            raise ValueError(f"this metric needs the {self.variant} augmentation, got {source.variant}")
+        matrix, values = (source, None) if self.variant is None else (source.base, source.unique_new)
+        if self.offset is None and shift < 0:
+            raise ValueError("shift must be non-negative")
+        offset = shift if self.offset is None else self.offset
+        row = self.axis == ROW
+        _check_line(matrix, self.axis, year, need_articles=not (row or self.relative))
+        cells = _line_window(matrix, self.axis, year, year - offset if row else year + offset, window, clip)
+        if not self.relative:
+            # Along a column, the year's articles were checked above.
+            denominator = matrix.publications.total(cells.years) if row else matrix.pub(year)
+            if denominator == 0:
+                _undefined(f"no articles were published in {YearRuns(cells.years)}", YearRuns(cells.years))
+        elif (denominator := matrix.window_sum(cells)) == 0 and row:
+            _undefined(f"no citations were made in {year} within the window", [year])
+        elif denominator == 0:
+            _undefined(f"articles published in {year} received no citations in the window", [year])
+        return MetricValue(matrix.window_sum(cells, values), denominator, cells)
 
 
-def _require_variant(augmented: AugmentedMatrix, variant: str) -> None:
-    if augmented.variant != variant:
-        raise ValueError(f"this metric needs the {variant} augmentation, got {augmented.variant}")
+INDICATORS = {
+    "sync_if": Indicator(ROW, 1, None, relative=False),
+    "diach_if": Indicator(COLUMN, None, None, relative=False),
+    "sync_jdf": Indicator(ROW, 0, SYNCHRONOUS, relative=False),
+    "diach_jdf": Indicator(COLUMN, 0, DIACHRONOUS, relative=False),
+    "sync_rdf": Indicator(ROW, 0, SYNCHRONOUS, relative=True),
+    "diach_rdf": Indicator(COLUMN, 0, DIACHRONOUS, relative=True),
+}
+# The kinds a MetricRequest can name, which are the CLI's --kind choices.
+REQUEST_KINDS = ("garfield_if", *INDICATORS)
+KINDS = (*REQUEST_KINDS, "rowlands_jdf")
 
 
 def garfield_if(matrix: PubCitMatrix, year: int) -> MetricValue:
     """Classic two-year impact factor: citations in ``year`` to the two prior
     years' articles, divided by those years' article counts. No clipping;
     both prior years must exist."""
-    _require_citation_year(matrix, year)
+    _check_line(matrix, ROW, year)
     pub_lo, pub_hi = matrix.pub_years
     prior = (year - 1, year - 2)
     missing = [y for y in prior if not pub_lo <= y <= pub_hi]
@@ -244,11 +265,7 @@ def garfield_if(matrix: PubCitMatrix, year: int) -> MetricValue:
 def sync_if(matrix: PubCitMatrix, year: int, window: int | None, *, clip: bool = True) -> MetricValue:
     """Synchronous impact factor: one citation year's citations to the
     previous ``window`` years, divided by the articles of those years."""
-    _require_citation_year(matrix, year)
-    cells = _line_window(matrix, ROW, year, year - 1, window, clip)
-    denominator = _published_over(matrix, cells)
-    numerator = matrix.window_sum(cells)
-    return MetricValue(numerator, denominator, cells)
+    return INDICATORS["sync_if"](matrix, year, window, clip=clip)
 
 
 def diach_if(
@@ -262,12 +279,7 @@ def diach_if(
     """Diachronous impact factor: citations accumulated by ``year``'s articles
     over ``window`` citation years starting at ``year + shift``, divided by
     the articles published in ``year``."""
-    if shift < 0:
-        raise ValueError("shift must be non-negative")
-    _require_publication_year(matrix, year, need_articles=True)
-    cells = _line_window(matrix, COLUMN, year, year + shift, window, clip)
-    numerator = matrix.window_sum(cells)
-    return MetricValue(numerator, matrix.pub(year), cells)
+    return INDICATORS["diach_if"](matrix, year, window, shift, clip)
 
 
 def sync_jdf(
@@ -276,13 +288,7 @@ def sync_jdf(
     """Synchronous journal diffusion factor: first-appearance journals in one
     citation year's row (window includes the in-year cell) per article
     published in the window."""
-    _require_variant(augmented, SYNCHRONOUS)
-    matrix = augmented.base
-    _require_citation_year(matrix, year)
-    cells = _line_window(matrix, ROW, year, year, window, clip)
-    denominator = _published_over(matrix, cells)
-    numerator = matrix.window_sum(cells, augmented.unique_new)
-    return MetricValue(numerator, denominator, cells)
+    return INDICATORS["sync_jdf"](augmented, year, window, clip=clip)
 
 
 def sync_rdf(
@@ -290,15 +296,7 @@ def sync_rdf(
 ) -> MetricValue:
     """Relative synchronous diffusion: first-appearance journals per citation
     over the same row window as :func:`sync_jdf`."""
-    _require_variant(augmented, SYNCHRONOUS)
-    matrix = augmented.base
-    _require_citation_year(matrix, year)
-    cells = _line_window(matrix, ROW, year, year, window, clip)
-    denominator = matrix.window_sum(cells)
-    if denominator == 0:
-        _undefined(f"no citations were made in {year} within the window", [year])
-    numerator = matrix.window_sum(cells, augmented.unique_new)
-    return MetricValue(numerator, denominator, cells)
+    return INDICATORS["sync_rdf"](augmented, year, window, clip=clip)
 
 
 def diach_jdf(
@@ -306,12 +304,7 @@ def diach_jdf(
 ) -> MetricValue:
     """Diachronous journal diffusion factor: journals newly citing ``year``'s
     articles (earliest appearance per journal) per article published."""
-    _require_variant(augmented, DIACHRONOUS)
-    matrix = augmented.base
-    _require_publication_year(matrix, year, need_articles=True)
-    cells = _line_window(matrix, COLUMN, year, year, window, clip)
-    numerator = matrix.window_sum(cells, augmented.unique_new)
-    return MetricValue(numerator, matrix.pub(year), cells)
+    return INDICATORS["diach_jdf"](augmented, year, window, clip=clip)
 
 
 def diach_rdf(
@@ -319,15 +312,7 @@ def diach_rdf(
 ) -> MetricValue:
     """Relative diachronous diffusion: journals newly citing ``year``'s
     articles per citation received in the window."""
-    _require_variant(augmented, DIACHRONOUS)
-    matrix = augmented.base
-    _require_publication_year(matrix, year, need_articles=False)
-    cells = _line_window(matrix, COLUMN, year, year, window, clip)
-    denominator = matrix.window_sum(cells)
-    if denominator == 0:
-        _undefined(f"articles published in {year} received no citations in the window", [year])
-    numerator = matrix.window_sum(cells, augmented.unique_new)
-    return MetricValue(numerator, denominator, cells)
+    return INDICATORS["diach_rdf"](augmented, year, window, clip=clip)
 
 
 def rowlands_jdf(
@@ -359,32 +344,31 @@ def rowlands_jdf(
     return MetricValue(numerator, denominator, cells)
 
 
+def evaluator(
+    kind: str, matrix: PubCitMatrix, sync: AugmentedMatrix | None = None, diach: AugmentedMatrix | None = None
+) -> Callable[[int, int | None, int, bool], MetricValue]:
+    """``kind`` over these matrices, as a function of ``(year, window, shift,
+    clip)``; ``garfield_if`` reads the year alone.
+
+    ``rowlands_jdf`` is excluded: it works on raw events, not on a matrix, so
+    it has no meaningful request form here.
+    """
+    if kind == "garfield_if":
+        return lambda year, window, shift, clip: garfield_if(matrix, year)
+    indicator = INDICATORS.get(kind)
+    if indicator is None:
+        raise ValueError("rowlands_jdf works on citation events; call rowlands_jdf() directly")
+    source = {None: matrix, SYNCHRONOUS: sync, DIACHRONOUS: diach}[indicator.variant]
+    if source is None:
+        raise ValueError(f"{kind} needs the {indicator.variant} augmented matrix")
+    return partial(indicator, source)
+
+
 def evaluate(
     request: MetricRequest,
     matrix: PubCitMatrix,
     sync: AugmentedMatrix | None = None,
     diach: AugmentedMatrix | None = None,
 ) -> MetricValue:
-    """Dispatch a request to the right indicator.
-
-    ``rowlands_jdf`` is excluded: it works on raw events, not on a matrix, so
-    it has no meaningful request form here.
-    """
-    kind, year = request.kind, request.year
-    if kind == "garfield_if":
-        return garfield_if(matrix, year)
-    if kind == "sync_if":
-        return sync_if(matrix, year, request.window, clip=request.clip)
-    if kind == "diach_if":
-        return diach_if(matrix, year, request.window, shift=request.shift, clip=request.clip)
-    if kind in ("sync_jdf", "sync_rdf"):
-        if sync is None:
-            raise ValueError(f"{kind} needs the synchronous augmented matrix")
-        fn = sync_jdf if kind == "sync_jdf" else sync_rdf
-        return fn(sync, year, request.window, clip=request.clip)
-    if kind in ("diach_jdf", "diach_rdf"):
-        if diach is None:
-            raise ValueError(f"{kind} needs the diachronous augmented matrix")
-        fn = diach_jdf if kind == "diach_jdf" else diach_rdf
-        return fn(diach, year, request.window, clip=request.clip)
-    raise ValueError("rowlands_jdf works on citation events; call rowlands_jdf() directly")
+    """Evaluate a request over the matrices its kind needs (see :func:`evaluator`)."""
+    return evaluator(request.kind, matrix, sync, diach)(request.year, request.window, request.shift, request.clip)

@@ -20,37 +20,32 @@ every output format.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import make_dataclass
 
-from . import metrics
 from .errors import UndefinedMetricError
 from .matrix import AugmentedMatrix, PubCitMatrix, year_range
-from .metrics import MetricValue
+from .metrics import MetricValue, evaluator
 
 UNDEFINED = "x"
 
+# (name, request as (kind, window, shift, clip), decimal places)
 _COLUMNS = (
-    ("garfield_if", 2),
-    ("sync_if2", 2),
-    ("diach_if2s1", 2),
-    ("sync_rdf_max", 2),
-    ("diach_rdf_max", 2),
-    ("sync_jdf_max", 3),
-    ("diach_jdf_max", 2),
+    ("garfield_if", ("garfield_if", 2, 1, False), 2),
+    ("sync_if2", ("sync_if", 2, 1, False), 2),
+    ("diach_if2s1", ("diach_if", 2, 1, True), 2),
+    ("sync_rdf_max", ("sync_rdf", None, 1, True), 2),
+    ("diach_rdf_max", ("diach_rdf", None, 1, True), 2),
+    ("sync_jdf_max", ("sync_jdf", None, 1, True), 3),
+    ("diach_jdf_max", ("diach_jdf", None, 1, True), 2),
 )
-COLUMN_NAMES = ("year",) + tuple(name for name, _ in _COLUMNS)
+COLUMN_NAMES = ("year",) + tuple(name for name, _, _ in _COLUMNS)
 
-
-@dataclass(frozen=True)
-class ReportRow:
-    year: int
-    garfield_if: MetricValue | None
-    sync_if2: MetricValue | None
-    diach_if2s1: MetricValue | None
-    sync_rdf_max: MetricValue | None
-    diach_rdf_max: MetricValue | None
-    sync_jdf_max: MetricValue | None
-    diach_jdf_max: MetricValue | None
+ReportRow = make_dataclass(
+    "ReportRow",
+    [("year", int)] + [(name, "MetricValue | None") for name in COLUMN_NAMES[1:]],
+    frozen=True,
+    namespace={"__module__": __name__, "__doc__": "A report year and its cells, None where undefined."},
+)
 
 
 def format_ratio(numerator: int, denominator: int, precision: int) -> str:
@@ -72,9 +67,9 @@ def format_ratio(numerator: int, denominator: int, precision: int) -> str:
     return f"{digits[:-precision]}.{digits[-precision:]}"
 
 
-def _attempt(fn, *args, **kwargs) -> MetricValue | None:
+def _attempt(fn, *args) -> MetricValue | None:
     try:
-        return fn(*args, **kwargs)
+        return fn(*args)
     except UndefinedMetricError:
         return None
 
@@ -84,21 +79,11 @@ def build_report(
 ) -> list[ReportRow]:
     """Compute every cell of the report; undefined cells become None."""
     years = sorted(set(year_range(matrix.pub_years)) | set(year_range(matrix.cite_years)))
-    rows = []
-    for year in years:
-        rows.append(
-            ReportRow(
-                year=year,
-                garfield_if=_attempt(metrics.garfield_if, matrix, year),
-                sync_if2=_attempt(metrics.sync_if, matrix, year, 2, clip=False),
-                diach_if2s1=_attempt(metrics.diach_if, matrix, year, 2, shift=1),
-                sync_rdf_max=_attempt(metrics.sync_rdf, sync, year, None),
-                diach_rdf_max=_attempt(metrics.diach_rdf, diach, year, None),
-                sync_jdf_max=_attempt(metrics.sync_jdf, sync, year, None),
-                diach_jdf_max=_attempt(metrics.diach_jdf, diach, year, None),
-            )
-        )
-    return rows
+    readers = [(evaluator(kind, matrix, sync, diach), *request) for _, (kind, *request), _ in _COLUMNS]
+    return [
+        ReportRow(year, *[_attempt(read, year, window, shift, clip) for read, window, shift, clip in readers])
+        for year in years
+    ]
 
 
 def _cell_text(value: MetricValue | None, precision: int) -> str:
@@ -109,7 +94,7 @@ def _cell_text(value: MetricValue | None, precision: int) -> str:
 
 def _row_texts(row: ReportRow) -> list[str]:
     return [str(row.year)] + [
-        _cell_text(getattr(row, name), precision) for name, precision in _COLUMNS
+        _cell_text(getattr(row, name), precision) for name, _, precision in _COLUMNS
     ]
 
 
@@ -137,7 +122,7 @@ def render_structured(rows: list[ReportRow]) -> dict:
     out_rows = []
     for row in rows:
         cells: dict = {"year": row.year}
-        for name, precision in _COLUMNS:
+        for name, _, precision in _COLUMNS:
             value = getattr(row, name)
             cells[name] = (
                 None

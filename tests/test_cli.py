@@ -385,3 +385,64 @@ class TestPrecisionLimit:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"citemetrics: error: --precision must be at most 1000, got {precision}\n"
+
+
+class TestShift:
+    @pytest.mark.parametrize("kind", ["diach_if", "sync_if"])
+    def test_a_negative_shift_is_a_one_line_usage_error(self, kind, tmp_path, capsys):
+        missing = str(tmp_path / "never-read.json")  # the check comes before the fixture loads
+        argv = ["metric", "--matrix", missing, "--kind", kind, "--year", "2006", "--window", "2", "--shift", "-1"]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "citemetrics: error: --shift must be non-negative, got -1\n"
+
+    def test_shift_zero_is_accepted(self, capsys):
+        argv = ["metric", "--matrix", MJM, "--kind", "diach_if", "--year", "2006", "--window", "2", "--shift", "0"]
+        assert main(argv) == 0
+        assert capsys.readouterr().out == "0.63 (exact 65/104)\n"
+
+
+class TestCountLimit:
+    """Counts above 10^18, and integer literals too long for Python to read,
+    are refused as bad fixtures before anything renders them."""
+
+    def _write(self, tmp_path, text):
+        fx = tmp_path / "fx.json"
+        fx.write_text(text)
+        return str(fx)
+
+    def test_a_3500_digit_citation_count_exits_3(self, tmp_path, mjm_doc, capsys):
+        mjm_doc["citations"][0][2] = 10**3500
+        fx = self._write(tmp_path, json.dumps(mjm_doc))
+        for argv in (["metric", "--kind", "sync_if", "--year", "2009", "--window", "3", "--precision", "1000"], ["report"]):
+            assert main(argv + ["--matrix", fx]) == 3
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            cell = tuple(mjm_doc["citations"][0][:2])
+            assert captured.err == f"citemetrics: bad fixture: citations count at {cell} is above the limit of 10**18\n"
+
+    def test_a_publication_count_above_1e18_exits_3(self, tmp_path, mjm_doc, capsys):
+        mjm_doc["publications"]["2005"] = 10**18 + 1
+        assert main(["report", "--matrix", self._write(tmp_path, json.dumps(mjm_doc))]) == 3
+        assert capsys.readouterr().err == (
+            "citemetrics: bad fixture: publications count at 2005 is above the limit of 10**18\n"
+        )
+
+    def test_counts_of_1e18_load_and_render(self, tmp_path, mjm_doc, capsys):
+        mjm_doc["publications"]["2008"] = 10**18
+        mjm_doc["citations"] = [[k, i, 10**18] for k, i, _ in mjm_doc["citations"]]
+        del mjm_doc["unique_new_sync"], mjm_doc["unique_new_diach"]
+        fx = self._write(tmp_path, json.dumps(mjm_doc))
+        argv = ["metric", "--matrix", fx, "--kind", "sync_if", "--year", "2010", "--window", "max"]
+        assert main(argv + ["--precision", "1000"]) == 0
+        assert capsys.readouterr().err == ""
+
+    def test_an_integer_literal_past_the_digit_limit_exits_3(self, tmp_path, mjm_doc, capsys):
+        text = json.dumps(mjm_doc).replace('"citations": [[', '"citations": [[' + "9" * 5000 + ", ", 1)
+        fx = self._write(tmp_path, text)
+        assert main(["metric", "--matrix", fx, "--kind", "garfield_if", "--year", "2009"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"citemetrics: bad fixture: {fx}: not valid JSON (Exceeds the limit")
+        assert captured.err.count("\n") == 1

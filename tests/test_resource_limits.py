@@ -150,3 +150,32 @@ def test_a_publication_span_of_1e11_years_is_rejected_in_one_line(tmp_path):
         assert err == ["citemetrics: bad fixture: publications must cover exactly the pub_years span"]
         if peak is not None:
             assert peak < 100 * 1024
+
+
+def test_a_report_over_1e11_years_is_refused_in_one_line(tmp_path):
+    """A report lists every year of its span; at most 10^4 are listed."""
+    fx = tmp_path / "huge.json"
+    fx.write_text(json.dumps(HUGE_SPAN_FIXTURE))
+    for fmt in ("table", "csv", "structured"):
+        code, out, err, peak = run_limited("report", "--matrix", str(fx), "--format", fmt)
+        assert (code, out) == (1, "")
+        assert err == ["citemetrics: error: a report lists each of its years, at most 10000; this fixture spans more"]
+        if peak is not None:
+            assert peak < 100 * 1024
+
+
+def test_a_structured_cell_list_over_1e4_cells_is_refused_in_one_line(tmp_path):
+    """The structured output lists every cell of the window; at most 10^4 are
+    listed. The text output of the same request still answers."""
+    fx = tmp_path / "huge.json"
+    fx.write_text(json.dumps(HUGE_SPAN_FIXTURE))
+    argv = ["metric", "--matrix", str(fx), "--kind", "diach_rdf", "--year", "2004", "--format", "structured"]
+    for window in ("max", "10001", "100000000000"):
+        code, out, err, peak = run_limited(*argv, "--window", window)
+        assert (code, out) == (1, "")
+        assert err == ["citemetrics: error: --format structured lists every cell, and this window has more than 10000"]
+        if peak is not None:
+            assert peak < 100 * 1024
+    code, out, err, _ = run_limited(*argv, "--window", "10000")
+    assert (code, err) == (0, [])
+    assert len(json.loads(out)["cells"]) == 10000
