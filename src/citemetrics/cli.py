@@ -24,7 +24,7 @@ from .errors import (
     ParseError,
     UndefinedMetricError,
 )
-from .fixture import load_fixture, save_fixture
+from .fixture import _UNIQUE_BLOCKS, load_fixture, save_fixture
 from .ingest import index_citations, load_alias_table, parse_publications
 from .matrix import DIACHRONOUS, SYNCHRONOUS, augment, matrix_from_counts
 from .metrics import INDICATORS, REQUEST_KINDS, MetricRequest, evaluate
@@ -167,7 +167,7 @@ def cmd_metric(args) -> int:
     fixture = load_fixture(args.matrix)
     variant = INDICATORS[args.kind].variant if args.kind in INDICATORS else None
     if variant is not None and {SYNCHRONOUS: fixture.sync, DIACHRONOUS: fixture.diach}[variant] is None:
-        block = "unique_new_sync" if variant == SYNCHRONOUS else "unique_new_diach"
+        block = _UNIQUE_BLOCKS[variant]
         raise FixtureError(f"{args.matrix} has no {block} block; regenerate it with 'citemetrics ingest'")
     request = MetricRequest(
         kind=args.kind,
@@ -205,7 +205,7 @@ def cmd_report(args) -> int:
     fixture = load_fixture(args.matrix)
     if fixture.sync is None or fixture.diach is None:
         raise FixtureError(
-            f"{args.matrix} lacks the unique_new_sync/unique_new_diach blocks the report needs; "
+            f"{args.matrix} lacks the {'/'.join(_UNIQUE_BLOCKS.values())} blocks the report needs; "
             "regenerate it with 'citemetrics ingest'"
         )
     (pub_lo, pub_hi), (cite_lo, cite_hi) = fixture.matrix.pub_years, fixture.matrix.cite_years

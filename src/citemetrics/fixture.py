@@ -37,16 +37,12 @@ from .matrix import (
     year_range,
 )
 
-_FIELDS = {
-    "pub_years",
-    "cite_years",
-    "publications",
-    "citations",
-    "unique_new_sync",
-    "unique_new_diach",
-}
+# The field that holds each augmentation variant's unique-new block, in the
+# order a fixture lists them.
+_UNIQUE_BLOCKS = {SYNCHRONOUS: "unique_new_sync", DIACHRONOUS: "unique_new_diach"}
 _REQUIRED = ("pub_years", "cite_years", "publications", "citations")
-_TRIPLE_BLOCKS = ("citations", "unique_new_sync", "unique_new_diach")
+_FIELDS = {*_REQUIRED, *_UNIQUE_BLOCKS.values()}
+_TRIPLE_BLOCKS = ("citations", *_UNIQUE_BLOCKS.values())
 # The largest publication or citation count a fixture may hold. A rendering
 # at the highest precision then stays far inside Python's limit on the
 # digits of an int-to-str conversion.
@@ -173,7 +169,8 @@ def load_document(doc: Any) -> MatrixFixture:
     _bounded(cells, "citations")
     matrix = PubCitMatrix(pub_years, cite_years, PublicationLedger(counts), cells)
 
-    def augmented(field: str, variant: str) -> AugmentedMatrix | None:
+    def augmented(variant: str) -> AugmentedMatrix | None:
+        field = _UNIQUE_BLOCKS[variant]
         if field not in doc:
             return None
         unique = _triples(doc[field], field, cite_years, pub_years, allow_backdated=False)
@@ -187,8 +184,8 @@ def load_document(doc: Any) -> MatrixFixture:
 
     return MatrixFixture(
         matrix=matrix,
-        sync=augmented("unique_new_sync", SYNCHRONOUS),
-        diach=augmented("unique_new_diach", DIACHRONOUS),
+        sync=augmented(SYNCHRONOUS),
+        diach=augmented(DIACHRONOUS),
     )
 
 
@@ -208,14 +205,13 @@ def to_document(
         "publications": {str(y): matrix.pub(y) for y in year_range(matrix.pub_years)},
         "citations": _triple_list(matrix.citations),
     }
-    if sync is not None:
-        if sync.variant != SYNCHRONOUS:
-            raise ValueError("sync argument must carry the synchronous variant")
-        doc["unique_new_sync"] = _triple_list(sync.unique_new)
-    if diach is not None:
-        if diach.variant != DIACHRONOUS:
-            raise ValueError("diach argument must carry the diachronous variant")
-        doc["unique_new_diach"] = _triple_list(diach.unique_new)
+    for variant, augmented in ((SYNCHRONOUS, sync), (DIACHRONOUS, diach)):
+        if augmented is not None:
+            field = _UNIQUE_BLOCKS[variant]
+            if augmented.variant != variant:
+                argument = field.removeprefix("unique_new_")
+                raise ValueError(f"{argument} argument must carry the {variant} variant")
+            doc[field] = _triple_list(augmented.unique_new)
     return doc
 
 

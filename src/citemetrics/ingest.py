@@ -3,7 +3,7 @@
 The pipeline turns two CSV files (publications and citation events) into a
 publication ledger plus a clean set of citation events:
 
-    parse_records -> normalize_journal_names -> deduplicate_events
+    parse_publications, parse_citations -> normalize_journal_names -> deduplicate_events
 
 :func:`index_citations` does the same work on the citations file in one
 pass and keeps only per-cell tallies; the step functions above are the
@@ -119,12 +119,29 @@ class PublicationLedger:
         return first, list(accumulate(map(self.counts.__getitem__, range(first, last + 1)), initial=0))
 
 
-def _cells(row: list[str]) -> list[str]:
-    return [cell.strip() for cell in row]
+def _table(stream: IO[str], what: str, layouts: tuple[tuple[str, ...], ...], expected: str):
+    """Read the header row of the ``what`` CSV, trimmed, lower-cased and
+    without a leading byte-order mark, and return the csv reader with the
+    header, which must be one of ``layouts``."""
+    reader = csv.reader(stream)
+    try:
+        header = tuple(cell.strip().lstrip("﻿").lower() for cell in next(reader))
+    except StopIteration:
+        raise ParseError(f"{what} file is empty (missing header row)", line=1) from None
+    if header not in layouts:
+        raise ParseError(f"unrecognized {what} header; expected {expected}", line=1)
+    return reader, header
 
 
-def _header(row: list[str]) -> tuple[str, ...]:
-    return tuple(cell.strip().lstrip("﻿").lower() for cell in row)
+def _rows(reader, width: int) -> Iterator[tuple[int, list[str]]]:
+    """Yield ``(line, trimmed cells)`` for each non-empty row, which must have
+    ``width`` fields. Blank rows are skipped but still count as lines."""
+    for row in reader:
+        if row:
+            cells = [cell.strip() for cell in row]
+            if len(cells) != width:
+                raise ParseError(f"expected {width} fields, got {len(cells)}", line=reader.line_num)
+            yield reader.line_num, cells
 
 
 def _parse_year(text: str, *, line: int, column: str) -> int:
@@ -151,87 +168,46 @@ def parse_publications(stream: IO[str]) -> PublicationLedger:
     Years missing from the middle of the observed span get a zero count, so
     the resulting ledger is always contiguous.
     """
-    reader = csv.reader(stream)
-    try:
-        header = _header(next(reader))
-    except StopIteration:
-        raise ParseError("publications file is empty (missing header row)", line=1) from None
-    if header == PUBLICATIONS_COUNT_HEADER:
-        counts = _parse_publication_counts(reader)
-    elif header == PUBLICATIONS_ARTICLE_HEADER:
-        counts = _parse_publication_articles(reader)
-    else:
-        raise ParseError(
-            "unrecognized publications header; expected 'year,count' or 'article_id,year'",
-            line=1,
-        )
+    reader, header = _table(
+        stream,
+        "publications",
+        (PUBLICATIONS_COUNT_HEADER, PUBLICATIONS_ARTICLE_HEADER),
+        "'year,count' or 'article_id,year'",
+    )
+    per_article = header == PUBLICATIONS_ARTICLE_HEADER
+    counts: dict[int, int] = {}
+    for line, cells in _rows(reader, 2):
+        if per_article:
+            if not cells[0]:
+                raise ParseError("article_id is empty", line=line, column="article_id")
+            year = _parse_year(cells[1], line=line, column="year")
+            counts[year] = counts.get(year, 0) + 1
+        else:
+            year = _parse_year(cells[0], line=line, column="year")
+            if year in counts:
+                raise ParseError(f"duplicate year {year}", line=line, column="year")
+            counts[year] = _parse_count(cells[1], line=line, column="count")
     if counts:
         lo, hi = min(counts), max(counts)
         counts = {y: counts.get(y, 0) for y in range(lo, hi + 1)}
     return PublicationLedger(counts)
 
 
-def _parse_publication_counts(reader) -> dict[int, int]:
-    counts: dict[int, int] = {}
-    for row in reader:
-        if not row:
-            continue
-        line = reader.line_num
-        cells = _cells(row)
-        if len(cells) != 2:
-            raise ParseError(f"expected 2 fields, got {len(cells)}", line=line)
-        year = _parse_year(cells[0], line=line, column="year")
-        if year in counts:
-            raise ParseError(f"duplicate year {year}", line=line, column="year")
-        counts[year] = _parse_count(cells[1], line=line, column="count")
-    return counts
-
-
-def _parse_publication_articles(reader) -> dict[int, int]:
-    counts: dict[int, int] = {}
-    for row in reader:
-        if not row:
-            continue
-        line = reader.line_num
-        cells = _cells(row)
-        if len(cells) != 2:
-            raise ParseError(f"expected 2 fields, got {len(cells)}", line=line)
-        if not cells[0]:
-            raise ParseError("article_id is empty", line=line, column="article_id")
-        year = _parse_year(cells[1], line=line, column="year")
-        counts[year] = counts.get(year, 0) + 1
-    return counts
-
-
 def _citation_rows(stream: IO[str]) -> Iterator[tuple[int, str, int, str, int, str | None]]:
     """Yield ``(line, cited_article_id, cited_pub_year, citing_journal_raw,
     citing_year, citing_article_id)`` for each data row of a citations CSV,
     after every header, width, year and empty-field check."""
-    reader = csv.reader(stream)
-    try:
-        header = _header(next(reader))
-    except StopIteration:
-        raise ParseError("citations file is empty (missing header row)", line=1) from None
-    if header == CITATIONS_HEADER:
-        width = 4
-    elif header == CITATIONS_HEADER_WITH_ID:
-        width = 5
-    else:
-        raise ParseError(
-            "unrecognized citations header; expected "
-            "'cited_article_id,cited_pub_year,citing_journal,citing_year[,citing_article_id]'",
-            line=1,
-        )
+    reader, header = _table(
+        stream,
+        "citations",
+        (CITATIONS_HEADER, CITATIONS_HEADER_WITH_ID),
+        "'cited_article_id,cited_pub_year,citing_journal,citing_year[,citing_article_id]'",
+    )
+    width = len(header)
     # A corpus repeats a few dozen year strings over all its rows, so each
     # distinct string is checked and converted once.
     years: dict[str, int] = {}
-    for row in reader:
-        if not row:
-            continue
-        line = reader.line_num
-        cells = _cells(row)
-        if len(cells) != width:
-            raise ParseError(f"expected {width} fields, got {len(cells)}", line=line)
+    for line, cells in _rows(reader, width):
         cited_article_id, pub_text, journal, cite_text = cells[:4]
         if not cited_article_id:
             raise ParseError("cited_article_id is empty", line=line, column="cited_article_id")
@@ -260,11 +236,6 @@ def parse_citations(stream: IO[str]) -> list[RawCitationRecord]:
         RawCitationRecord(cited, pub_year, journal, cite_year, citing_id, line)
         for line, cited, pub_year, journal, cite_year, citing_id in _citation_rows(stream)
     ]
-
-
-def parse_records(pub_stream: IO[str], cite_stream: IO[str]) -> tuple[PublicationLedger, list[RawCitationRecord]]:
-    """Parse both input files in one call."""
-    return parse_publications(pub_stream), parse_citations(cite_stream)
 
 
 def normalize_journal_name(raw: str) -> str:
@@ -296,22 +267,9 @@ def _normalize_alias_table(alias_table: Mapping[str, str]) -> dict[str, str]:
 
 def load_alias_table(stream: IO[str]) -> dict[str, str]:
     """Read a ``raw,canonical`` CSV into a normalized alias mapping."""
-    reader = csv.reader(stream)
-    try:
-        header = _header(next(reader))
-    except StopIteration:
-        raise ParseError("alias file is empty (missing header row)", line=1) from None
-    if header != ("raw", "canonical"):
-        raise ParseError("unrecognized alias header; expected 'raw,canonical'", line=1)
+    reader, _ = _table(stream, "alias", (("raw", "canonical"),), "'raw,canonical'")
     table: dict[str, str] = {}
-    for row in reader:
-        if not row:
-            continue
-        line = reader.line_num
-        cells = _cells(row)
-        if len(cells) != 2:
-            raise ParseError(f"expected 2 fields, got {len(cells)}", line=line)
-        raw, canonical = cells
+    for line, (raw, canonical) in _rows(reader, 2):
         if not raw:
             raise ParseError("raw name is empty", line=line, column="raw")
         if not canonical:

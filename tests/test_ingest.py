@@ -17,7 +17,6 @@ from citemetrics.ingest import (
     normalize_journal_names,
     parse_citations,
     parse_publications,
-    parse_records,
 )
 
 from helpers import ev
@@ -134,14 +133,6 @@ class TestParseCitations:
                 "a1,2004,   ,2005\n"
             )
         assert err.value.column == "citing_journal"
-
-    def test_parse_records_combines_both(self):
-        ledger, records = parse_records(
-            io.StringIO("year,count\n2004,1\n"),
-            io.StringIO("cited_article_id,cited_pub_year,citing_journal,citing_year\na,2004,J,2005\n"),
-        )
-        assert ledger.counts == {2004: 1}
-        assert len(records) == 1
 
 
 class TestNormalizeName:
