@@ -36,9 +36,10 @@ class UndefinedMetricError(CiteMetricsError):
     """The requested indicator is undefined for this matrix.
 
     ``missing_years`` holds the years whose absence (or emptiness) caused it,
-    when that is the reason: a tuple, or for a window the runs value the
-    window helpers build, which compares equal to the tuple of its years and
-    is kept as it is, since a window can miss more years than fit in memory.
+    when that is the reason: a tuple, or a ``matrix.YearRuns``, which holds
+    the years as runs of consecutive years, compares and hashes equal to the
+    tuple of its years, and is kept as it is, since a window can miss more
+    years than fit in memory.
     """
 
     def __init__(self, message: str, missing_years: Sequence[int] = ()):

@@ -26,7 +26,7 @@ from pathlib import Path
 from typing import Any, Mapping
 
 from .errors import FixtureError
-from .ingest import PublicationLedger
+from .ingest import MAX_COUNT, PublicationLedger
 from .matrix import (
     DIACHRONOUS,
     SYNCHRONOUS,
@@ -43,10 +43,6 @@ _UNIQUE_BLOCKS = {SYNCHRONOUS: "unique_new_sync", DIACHRONOUS: "unique_new_diach
 _REQUIRED = ("pub_years", "cite_years", "publications", "citations")
 _FIELDS = {*_REQUIRED, *_UNIQUE_BLOCKS.values()}
 _TRIPLE_BLOCKS = ("citations", *_UNIQUE_BLOCKS.values())
-# The largest publication or citation count a fixture may hold. A rendering
-# at the highest precision then stays far inside Python's limit on the
-# digits of an int-to-str conversion.
-MAX_COUNT = 10**18
 # One triple as json.dumps(indent=2) lays it out inside a top-level list.
 _TRIPLE = "    [\n      {},\n      {},\n      {}\n    ]"
 

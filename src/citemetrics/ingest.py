@@ -32,6 +32,11 @@ PUBLICATIONS_ARTICLE_HEADER = ("article_id", "year")
 CITATIONS_HEADER = ("cited_article_id", "cited_pub_year", "citing_journal", "citing_year")
 CITATIONS_HEADER_WITH_ID = CITATIONS_HEADER + ("citing_article_id",)
 
+# The largest publication or citation count a fixture may hold. A rendering
+# at the highest precision then stays far inside Python's limit on the
+# digits of an int-to-str conversion.
+MAX_COUNT = 10**18
+
 # Stripped from the tail of a normalized name. ASCII only, on purpose:
 # terminal "." and ";" are data-entry noise, exotic punctuation is not ours
 # to guess about.
@@ -120,12 +125,12 @@ class PublicationLedger:
 
 
 def _table(stream: IO[str], what: str, layouts: tuple[tuple[str, ...], ...], expected: str):
-    """Read the header row of the ``what`` CSV, trimmed, lower-cased and
-    without a leading byte-order mark, and return the csv reader with the
-    header, which must be one of ``layouts``."""
+    """Read the header row of the ``what`` CSV, lower-cased, without a
+    leading byte-order mark and trimmed on either side of it, and return the
+    csv reader with the header, which must be one of ``layouts``."""
     reader = csv.reader(stream)
     try:
-        header = tuple(cell.strip().lstrip("﻿").lower() for cell in next(reader))
+        header = tuple(cell.strip().lstrip("\ufeff").strip().lower() for cell in next(reader))
     except StopIteration:
         raise ParseError(f"{what} file is empty (missing header row)", line=1) from None
     if header not in layouts:
@@ -151,13 +156,21 @@ def _parse_year(text: str, *, line: int, column: str) -> int:
 
 
 def _parse_count(text: str, *, line: int, column: str) -> int:
+    """A count is ASCII digits, at most MAX_COUNT, so ``ingest`` writes only
+    counts the fixture loader reads back."""
+    if text.isascii() and text.isdigit():
+        # int() refuses more than 4300 digits; past 19 significant digits
+        # the count is over the limit anyway.
+        if len(text.lstrip("0")) <= 19 and (n := int(text)) <= MAX_COUNT:
+            return n
+        raise ParseError("count is above the limit of 10**18", line=line, column=column)
     try:
         n = int(text)
     except ValueError:
         raise ParseError(f"expected an integer, got {text!r}", line=line, column=column) from None
     if n < 0:
         raise ParseError(f"count must be non-negative, got {n}", line=line, column=column)
-    return n
+    raise ParseError(f"expected a count of ASCII digits only, got {text!r}", line=line, column=column)
 
 
 def parse_publications(stream: IO[str]) -> PublicationLedger:

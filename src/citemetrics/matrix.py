@@ -119,9 +119,9 @@ class YearRuns:
     A window's years, or the years it misses, are at most two runs however
     long the window, so they are kept by their ends. The value compares
     equal to the list or tuple of its years and hashes like that tuple.
-    ``str()`` gives the runs text of ``metrics._year_runs`` as long as no two
-    runs overlap or touch: the two runs a window misses lie on either side
-    of the span. Empty runs are dropped.
+    ``str()`` is the runs ascending, ``"2002–2003, 2011"``: the runs text of
+    the sorted years when no two runs overlap or touch, as for the two runs a
+    window misses, one on each side of the span. Empty runs are dropped.
     """
 
     __slots__ = ("runs",)

@@ -22,7 +22,6 @@ first-appearance journal counts by publications (JDF) or by citations (RDF,
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
@@ -94,23 +93,6 @@ def _undefined(message: str, missing: Sequence[int] = ()) -> NoReturn:
     )
 
 
-def _year_runs(years: Iterable[int]) -> str:
-    """Distinct years as sorted runs of consecutive years, ``"2002–2003, 2011"``,
-    so a message stays one short line however long the window."""
-    ys = sorted(years)
-    runs = []
-    start = 0
-    while start < len(ys):
-        # ys[j] - ys[start] - (j - start) never decreases and is 0 exactly
-        # within the run that begins at start: bisect for the run's end.
-        end = start + bisect_right(
-            range(start, len(ys)), 0, key=lambda j: ys[j] - ys[start] - (j - start)
-        )
-        runs.append(str(ys[start]) if end == start + 1 else f"{ys[start]}–{ys[end - 1]}")
-        start = end
-    return ", ".join(runs)
-
-
 def _years(first: int, last: int, step: int) -> range:
     """Years ``first`` to ``last`` (none if first > last), ascending for step
     1 and descending for step -1."""
@@ -155,25 +137,6 @@ def _line_window(
     below, above = _years(w_lo, min(w_hi, lo - 1), step), _years(max(w_lo, hi + 1), w_hi, step)
     missing = YearRuns(below, above) if step > 0 else YearRuns(above, below)
     _undefined(f"{what} years {missing} are outside {lo}-{hi} and clipping is off", missing)
-
-
-def _backward_years(
-    matrix: PubCitMatrix, year: int, window: int | None, clip: bool, newest_offset: int
-) -> YearRuns:
-    """Publication years for a row-wise window, newest first.
-
-    The window starts at ``year - newest_offset`` and extends ``window`` years
-    into the past (offset 1 for impact factors, 0 for the diffusion family,
-    which includes the in-year diagonal cell).
-    """
-    return YearRuns(_line_window(matrix, ROW, year, year - newest_offset, window, clip).years)
-
-
-def _forward_years(
-    matrix: PubCitMatrix, year: int, window: int | None, shift: int, clip: bool
-) -> YearRuns:
-    """Citation years for a column-wise window: year+shift onwards."""
-    return YearRuns(_line_window(matrix, COLUMN, year, year + shift, window, clip).years)
 
 
 def _check_line(matrix: PubCitMatrix, axis: str, year: int, *, need_articles: bool = False) -> None:
@@ -246,18 +209,20 @@ def garfield_if(matrix: PubCitMatrix, year: int) -> MetricValue:
     both prior years must exist."""
     _check_line(matrix, ROW, year)
     pub_lo, pub_hi = matrix.pub_years
-    prior = (year - 1, year - 2)
+    prior = range(year - 1, year - 3, -1)
     missing = [y for y in prior if not pub_lo <= y <= pub_hi]
     if missing:
+        # Two adjacent years outside one span: the years missed form one run.
+        runs = YearRuns(range(missing[0], missing[-1] - 1, -1))
         _undefined(
             f"impact factor for {year} needs publications in {year - 2} and {year - 1}; "
-            f"{_year_runs(missing)} outside {pub_lo}-{pub_hi}",
-            missing,
+            f"{runs} outside {pub_lo}-{pub_hi}",
+            runs,
         )
     denominator = matrix.pub(year - 1) + matrix.pub(year - 2)
     if denominator == 0:
         _undefined(f"no articles were published in {year - 2}-{year - 1}", prior)
-    cells = Window(ROW, year, range(year - 1, year - 3, -1))
+    cells = Window(ROW, year, prior)
     numerator = matrix.window_sum(cells)
     return MetricValue(numerator, denominator, cells)
 

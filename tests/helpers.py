@@ -95,6 +95,18 @@ def column_events(pub_year, rows):
     return events
 
 
+def runs_text(years) -> str:
+    """Distinct years as sorted runs of consecutive years, ``"2002–2003,
+    2011"``, found by a linear scan: the reference for ``YearRuns`` text."""
+    runs = []
+    for year in sorted(years):
+        if runs and year == runs[-1][1] + 1:
+            runs[-1][1] = year
+        else:
+            runs.append([year, year])
+    return ", ".join(str(lo) if lo == hi else f"{lo}–{hi}" for lo, hi in runs)
+
+
 def decimal_text(numerator: int, denominator: int, places: int, rounding) -> str:
     with localcontext() as ctx:
         ctx.prec = 60

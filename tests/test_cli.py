@@ -438,6 +438,22 @@ class TestCountLimit:
         assert main(argv + ["--precision", "1000"]) == 0
         assert capsys.readouterr().err == ""
 
+    def test_ingest_refuses_a_count_the_loader_would_refuse(self, corpus, capsys):
+        pubs, cites, out = corpus
+        pubs.write_text("year,count\n2004,3\n2005,5000000000000000000000\n")
+        assert main(["ingest", "--pubs", str(pubs), "--cites", str(cites), "--matrix", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "citemetrics: error: line 3, column 'count': count is above the limit of 10**18\n"
+        )
+        assert not out.exists()
+
+    def test_ingest_writes_a_count_of_1e18_that_report_reads(self, corpus, capsys):
+        pubs, cites, out = corpus
+        pubs.write_text("year,count\n2004,3\n2005,1000000000000000000\n")
+        assert main(["ingest", "--pubs", str(pubs), "--cites", str(cites), "--matrix", str(out)]) == 0
+        assert main(["report", "--matrix", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+
     def test_an_integer_literal_past_the_digit_limit_exits_3(self, tmp_path, mjm_doc, capsys):
         text = json.dumps(mjm_doc).replace('"citations": [[', '"citations": [[' + "9" * 5000 + ", ", 1)
         fx = self._write(tmp_path, text)

@@ -4,6 +4,7 @@ same fixture bytes, the same stdout, the same error."""
 
 import csv
 import io
+import json
 import os
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
@@ -49,14 +50,18 @@ def corpora(draw):
     width = draw(st.sampled_from((4, 5)))
     rows = []
     for _ in range(draw(st.integers(0, 25))):
+        # The ledger covers at most 2003-2005; a citing year before the
+        # publication year is backdated. Years below 1000 are written with
+        # leading zeros, in pairs whose digits run together alike: 0420 then
+        # 0005, and 0004 then 0205. Ids hold digits and dots.
         row = [
-            draw(st.sampled_from(("a1", "a2", "a3"))),
-            str(draw(st.integers(2002, 2007))),  # the ledger covers at most 2003-2005
+            draw(st.sampled_from(("a1", "a2", "a3", "1.", "1.2", "12"))),
+            f"{draw(st.integers(2002, 2007) | st.sampled_from((4, 420))):04}",
             draw(st.sampled_from(sorted(JOURNAL_OF))),
-            str(draw(st.integers(2001, 2008))),  # before the publication year: backdated
+            f"{draw(st.integers(2001, 2008) | st.sampled_from((5, 205))):04}",
         ]
         if width == 5:
-            row.append(draw(st.sampled_from(("", "c1", "c2"))))
+            row.append(draw(st.sampled_from(("", "c1", "c2", "2", ".2", "1.2"))))
         rows.append(row)
     if rows:
         for row in draw(st.lists(st.sampled_from(rows), max_size=6)):
@@ -155,3 +160,19 @@ def test_single_pass_ingest_matches_the_step_functions(corpus):
             _write_csv(aliases, ["raw", "canonical"], alias_rows)
         expected = _outcome(reference_ingest, pubs, cites, aliases, out)
         assert _outcome(_cli_ingest, pubs, cites, aliases, out) == expected
+
+
+def test_years_whose_digits_run_together_alike_are_two_rows():
+    """``0420`` then ``0005`` and ``0004`` then ``0205`` share their digits
+    when written back to back: the rows differ, so neither is a duplicate."""
+    rows = [["a", "0420", "J", "0005"], ["a", "0004", "J", "0205"]]
+    with tempfile.TemporaryDirectory() as tmp:
+        pubs, cites, out = (os.path.join(tmp, name) for name in ("pubs.csv", "cites.csv", "fx.json"))
+        _write_csv(pubs, ["year", "count"], [("0004", 1), ("0420", 1)])
+        _write_csv(cites, HEADER[:4], rows)
+        expected = _outcome(reference_ingest, pubs, cites, None, out)
+        got = _outcome(_cli_ingest, pubs, cites, None, out)
+    assert got == expected
+    (code, stdout, _), written = got
+    assert code == 0 and "citation rows parsed: 2\nduplicate rows removed: 0\n" in stdout
+    assert json.loads(written)["citations"] == [[5, 420, 1], [205, 4, 1]]

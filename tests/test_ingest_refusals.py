@@ -97,6 +97,56 @@ PUBLICATIONS = [
         2,
         "count",
     ),
+    # A count is ASCII digits, at most 10**18: what the fixture loader reads.
+    (
+        "count above the limit",
+        "year,count\n2004,5000000000000000000000\n",
+        "line 2, column 'count': count is above the limit of 10**18",
+        2,
+        "count",
+    ),
+    (
+        "count one above the limit",
+        "year,count\n2004,1\n2005,1000000000000000001\n",
+        "line 3, column 'count': count is above the limit of 10**18",
+        3,
+        "count",
+    ),
+    (
+        "count longer than int() reads",
+        "year,count\n2004," + "9" * 5000 + "\n",
+        "line 2, column 'count': count is above the limit of 10**18",
+        2,
+        "count",
+    ),
+    (
+        "count with an underscore",
+        "year,count\n2004,1_000\n",
+        "line 2, column 'count': expected a count of ASCII digits only, got '1_000'",
+        2,
+        "count",
+    ),
+    (
+        "count with a plus sign",
+        "year,count\n2004,+3\n",
+        "line 2, column 'count': expected a count of ASCII digits only, got '+3'",
+        2,
+        "count",
+    ),
+    (
+        "count in Arabic-Indic digits",
+        "year,count\n2004,\u0663\n",
+        "line 2, column 'count': expected a count of ASCII digits only, got '\u0663'",
+        2,
+        "count",
+    ),
+    (
+        "count of minus zero",
+        "year,count\n2004,-0\n",
+        "line 2, column 'count': expected a count of ASCII digits only, got '-0'",
+        2,
+        "count",
+    ),
     (
         "empty article_id",
         "article_id,year\n  ,2004\n",
@@ -290,6 +340,15 @@ class TestAcceptedForms:
     def test_publications_counts(self):
         text = "﻿Year ,  COUNT \r\n\r\n 2004 , 3 \r\n\r\n2006,1\r\n"
         assert _pubs(text).counts == {2004: 3, 2005: 0, 2006: 1}
+
+    def test_publications_counts_with_leading_zeros_up_to_the_limit(self):
+        text = "year,count\n2004,007\n2005,1000000000000000000\n2006,000" + "0" * 30 + "12\n"
+        assert _pubs(text).counts == {2004: 7, 2005: 10**18, 2006: 12}
+
+    def test_a_byte_order_mark_then_a_space(self):
+        assert _pubs("\ufeff year , count\n2004,3\n").counts == {2004: 3}
+        assert _pubs(" \ufeff Article_ID,year\np1,2004\n").counts == {2004: 1}
+        assert _aliases("\ufeff raw,canonical\nMJM,Med J Malaysia\n") == {"mjm": "med j malaysia"}
 
     def test_publications_articles(self):
         text = "﻿Article_ID ,Year \r\np1 , 2004\r\n\r\np2,2004\r\n"

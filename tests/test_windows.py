@@ -22,13 +22,9 @@ from citemetrics.matrix import (
     augment,
     matrix_from_counts,
 )
-from citemetrics.metrics import (
-    MetricRequest,
-    _backward_years,
-    _forward_years,
-    _year_runs,
-    evaluate,
-)
+from citemetrics.metrics import MetricRequest, _line_window, evaluate
+
+from helpers import runs_text
 
 WINDOW_KINDS = ("sync_if", "diach_if", "sync_jdf", "diach_jdf", "sync_rdf", "diach_rdf")
 
@@ -167,19 +163,16 @@ def test_window_years_and_missing_runs_equal_the_listed_filter(clip):
                 year = rng.randint(lo - 6, hi + 6)
                 window = rng.choice((None, rng.randint(1, hi - lo + 14)))
                 offset = rng.randint(0, 3)
-                if axis == ROW:
-                    start = year - offset
-                    call = lambda: _backward_years(matrix, year, window, clip, offset)
-                else:
-                    start = year + offset
-                    call = lambda: _forward_years(matrix, year, window, offset, clip)
+                start = year + step * offset
+                call = lambda: _line_window(matrix, axis, year, start, window, clip)
                 years, missing, wanted = listed(lo, hi, start, window, step, clip)
                 if wanted and min(wanted) < lo and max(wanted) > hi:
                     overhang_both += 1
                 if years is not None:
                     got = call()
-                    assert got == years and got == tuple(years) and list(got) == years
-                    assert hash(got) == hash(tuple(years)) and len(got) == len(years)
+                    assert (got.axis, got.line) == (axis, year)
+                    assert tuple(got.years) == tuple(years) and list(got.years) == years
+                    assert len(got) == len(years)
                     continue
                 with pytest.raises(UndefinedMetricError) as err:
                     call()
@@ -193,22 +186,22 @@ def test_window_years_and_missing_runs_equal_the_listed_filter(clip):
                 elif clip:
                     text = f"window {min(wanted)}-{max(wanted)} has no overlap with {what} years {lo}-{hi}"
                 else:
-                    text = f"{what} years {_year_runs(missing)} are outside {lo}-{hi} and clipping is off"
-                    assert str(got) == _year_runs(missing)
+                    text = f"{what} years {runs_text(missing)} are outside {lo}-{hi} and clipping is off"
+                    assert str(got) == runs_text(missing)
                 assert str(err.value) == text
     assert overhang_both > 20
 
 
 def test_a_window_of_1e11_years_misses_two_runs_not_a_list(mjm):
     with pytest.raises(UndefinedMetricError) as err:
-        _backward_years(mjm.matrix, 2006, 10**11, False, 0)
+        _line_window(mjm.matrix, ROW, 2006, 2006, 10**11, False)
     missing = err.value.missing_years
     assert missing.runs == (range(2003, 2006 - 10**11, -1),)
     assert str(err.value) == (
         "publication years -99999997993–2003 are outside 2004-2008 and clipping is off"
     )
     with pytest.raises(UndefinedMetricError) as err:
-        _forward_years(mjm.matrix, 2000, 10**11, 1, False)
+        _line_window(mjm.matrix, COLUMN, 2000, 2001, 10**11, False)
     assert err.value.missing_years.runs == (range(2001, 2004), range(2011, 2001 + 10**11))
     assert str(err.value) == (
         "citation years 2001–2003, 2011–100000002000 are outside 2004-2010 and clipping is off"
@@ -299,7 +292,7 @@ class TestYearRuns:
         assert [runs[j] for j in range(-5, 5)] == years + years
         assert 2011 in runs and 2005 not in runs
         assert runs != years[:-1] and runs != years + [2001] and runs != set(years)
-        assert str(runs) == _year_runs(years) == "2002–2003, 2010–2012"
+        assert str(runs) == runs_text(years) == "2002–2003, 2010–2012"
 
     def test_empty_runs_are_dropped(self):
         runs = YearRuns(range(5, 5), range(2006, 2007))
@@ -307,7 +300,7 @@ class TestYearRuns:
         assert runs == (2006,) and str(runs) == "2006"
         assert not YearRuns(range(0)) and YearRuns() == ()
 
-    def test_year_runs_text_of_random_runs(self):
+    def test_runs_text_of_random_runs(self):
         rng = random.Random(65)
         for _ in range(300):
             a = rng.randint(1990, 2010)
@@ -319,4 +312,4 @@ class TestYearRuns:
             if step < 0:
                 first, second = range(d, c - 1, -1), range(b, a - 1, -1)
             runs = YearRuns(first, second)
-            assert str(runs) == _year_runs(list(runs))
+            assert str(runs) == runs_text(list(runs))
