@@ -87,31 +87,42 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _fault_line(path: str) -> str:
-    """``"line N: "`` for the first record of a CSV file that cannot be
-    decoded or parsed, found by reading the file again; ``""`` if none is."""
+def _fault_line(path: str, undecodable: bool) -> str:
+    """``"line N: "`` for the first line of a CSV file that is not UTF-8
+    (``undecodable``), or else for the first record the csv module refuses,
+    found by reading the file again; ``""`` if there is none."""
     with open(path, newline="", encoding="utf-8", errors="surrogateescape") as fh:
+        if undecodable:
+            for number, line in enumerate(fh, 1):
+                try:
+                    line.encode("utf-8")  # undecodable bytes came back as surrogates
+                except UnicodeEncodeError:
+                    return f"line {number}: "
+            return ""
         reader = csv.reader(fh)
         try:
-            for row in reader:
-                "".join(row).encode("utf-8")  # undecodable bytes came back as surrogates
-        except (csv.Error, UnicodeEncodeError):
+            for _ in reader:
+                pass
+        except csv.Error:
             return f"line {reader.line_num}: "
     return ""
 
 
 def _read_csv(path: str, parse):
-    """Run one ingest parser over a CSV file. Bytes that are not UTF-8 and
-    records the csv module refuses (an oversized field, say) become a
-    ParseError naming the file and the line."""
+    """Run one ingest parser over a CSV file. Its refusals, bytes that are
+    not UTF-8 and records the csv module refuses (an oversized field, say)
+    all name the file, and the line where one is known."""
+    error = ParseError
     with open(path, newline="", encoding="utf-8") as fh:
         try:
             return parse(fh)
+        except (ParseError, AliasTableError) as exc:
+            error, reason = type(exc), str(exc)
         except UnicodeDecodeError as exc:
-            reason = f"not valid UTF-8 ({exc.reason})"
+            reason = f"{_fault_line(path, True)}not valid UTF-8 ({exc.reason})"
         except csv.Error as exc:
-            reason = str(exc)
-    raise ParseError(f"{path}: {_fault_line(path)}{reason}")
+            reason = f"{_fault_line(path, False)}{exc}"
+    raise error(f"{path}: {reason}")
 
 
 def cmd_ingest(args) -> int:
@@ -158,6 +169,7 @@ def _parse_window(text: str | None) -> int | None:
 def cmd_metric(args) -> int:
     if args.kind != "garfield_if" and args.window is None:
         raise ParseError(f"--window is required for {args.kind} (an integer or 'max')")
+    window = _parse_window(args.window)
     if args.precision < 0:
         raise ParseError("--precision must be non-negative")
     if args.precision > MAX_PRECISION:
@@ -172,7 +184,7 @@ def cmd_metric(args) -> int:
     request = MetricRequest(
         kind=args.kind,
         year=args.year,
-        window=_parse_window(args.window),
+        window=window,
         shift=args.shift,
         clip=not args.no_clip,
     )

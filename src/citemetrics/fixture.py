@@ -3,8 +3,9 @@
 A fixture is a JSON object with exactly these fields:
 
 * ``pub_years``, ``cite_years``: inclusive ``[first, last]`` spans;
-* ``publications``: per-year article counts, keys as year strings, covering
-  the publication span exactly;
+* ``publications``: per-year article counts covering the publication span
+  exactly, each keyed by its year written and read as ``str(year)``:
+  ``"2004"``, never ``"+2004"``, ``" 2004"``, ``"02004"`` or ``"2_004"``;
 * ``citations``: ``[citation_year, pub_year, count]`` triples for the
   non-zero cells (a triple with count 0 is accepted and ignored);
 * ``unique_new_sync`` / ``unique_new_diach`` (optional): triples of
@@ -150,7 +151,9 @@ def load_document(doc: Any) -> MatrixFixture:
         try:
             year = int(key)
         except (TypeError, ValueError):
-            raise FixtureError(f"publications key {key!r} is not a year") from None
+            year = None
+        if year is None or str(year) != key:  # only the key ingest writes for the year
+            raise FixtureError(f"publications key {key!r} is not a year")
         if not _is_int(value) or value < 0:
             raise FixtureError(f"publications[{key}] must be a non-negative integer")
         counts[year] = value

@@ -21,7 +21,6 @@ and the scans grow with the non-zero cells, not with the grid.
 from __future__ import annotations
 
 from collections import Counter, defaultdict
-from collections.abc import Sequence
 from dataclasses import dataclass, field
 from itertools import chain, repeat, zip_longest
 from operator import itemgetter
@@ -103,14 +102,6 @@ class Window:
     def __repr__(self) -> str:
         return f"Window({self.axis!r}, {self.line!r}, {self.years!r})"
 
-    def stored_sum(self, values: Mapping[Cell, int]) -> int:
-        """Sum the entries of ``values`` that lie in the window, reading the
-        map's stored cells rather than the window's."""
-        line, years = self.line, self.years
-        if self.axis == ROW:
-            return sum(n for (k, i), n in values.items() if k == line and i in years)
-        return sum(n for (k, i), n in values.items() if i == line and k in years)
-
 
 class YearRuns:
     """Years held as a few runs of consecutive years, each a range in
@@ -180,7 +171,8 @@ class PubCitMatrix:
     n_clipped: int = field(default=0, compare=False)
 
     def _check_cell(self, citation_year: int, pub_year: int) -> Cell:
-        if not (self.covers_cite_year(citation_year) and self.covers_pub_year(pub_year)):
+        (cite_lo, cite_hi), (pub_lo, pub_hi) = self.cite_years, self.pub_years
+        if not (cite_lo <= citation_year <= cite_hi and pub_lo <= pub_year <= pub_hi):
             raise ValueError(
                 f"cell ({citation_year}, {pub_year}) is outside the matrix "
                 f"(citation years {self.cite_years}, publication years {self.pub_years})"
@@ -190,54 +182,42 @@ class PubCitMatrix:
     def cit(self, citation_year: int, pub_year: int) -> int:
         return self.citations.get(self._check_cell(citation_year, pub_year), 0)
 
-    def window_sum(self, cells: Window | Sequence[Cell], values: Mapping[Cell, int] | None = None) -> int:
-        """Sum ``values`` (by default the citations) over a window of cells.
+    def window_sum(self, window: Window, values: Mapping[Cell, int] | None = None) -> int:
+        """Sum ``values`` (by default the citations) over a :class:`Window`.
 
-        ``cells`` is a :class:`Window`, or one row, one column or a rectangle
-        of the grid listed from one corner to the opposite one. Either way
-        checking the two end cells against the spans bounds every cell
-        between them: a window reaching off the grid raises ValueError, like
-        a single-cell read. A cell that ``values`` does not hold counts as
-        zero.
-
-        A listed window is read cell by cell. A :class:`Window` is summed
-        over the smaller side: its own cells, or the cells ``values`` stores,
-        whichever are fewer. So a window far longer than the data costs the
-        stored cells, and the window is never listed.
+        Checking the window's two end cells against the spans bounds every
+        cell between them: a window reaching off the grid raises ValueError,
+        like a single-cell read. A cell that ``values`` does not hold counts
+        as zero. The sum reads the smaller side: the window's own cells, or
+        the cells ``values`` stores, whichever are fewer. So a window far
+        longer than the data costs the stored cells, and the window is never
+        listed.
         """
         if values is None:
             values = self.citations
-        if isinstance(cells, Window):
-            line, years = cells.line, cells.years
-            if not years:
-                return 0
-            if cells.axis == ROW:
-                (line_lo, line_hi), (lo, hi) = self.cite_years, self.pub_years
-            else:
-                (line_lo, line_hi), (lo, hi) = self.pub_years, self.cite_years
-            if not (line_lo <= line <= line_hi and lo <= years[0] <= hi and lo <= years[-1] <= hi):
-                self._check_cell(*cells[0])  # one of the two raises, naming its cell
-                self._check_cell(*cells[-1])
-            # Slicing the years asks "more window cells than stored cells?"
-            # without len(), which a range past sys.maxsize years cannot give.
-            if years[len(values):]:
-                return cells.stored_sum(values)
-        elif cells:
-            self._check_cell(*cells[0])
-            self._check_cell(*cells[-1])
-        return sum(map(values.get, cells, repeat(0)))
+        line, years = window.line, window.years
+        if not years:
+            return 0
+        if window.axis == ROW:
+            (line_lo, line_hi), (lo, hi) = self.cite_years, self.pub_years
+        else:
+            (line_lo, line_hi), (lo, hi) = self.pub_years, self.cite_years
+        if not (line_lo <= line <= line_hi and lo <= years[0] <= hi and lo <= years[-1] <= hi):
+            self._check_cell(*window[0])  # one of the two raises, naming its cell
+            self._check_cell(*window[-1])
+        # Slicing the years asks "more window cells than stored cells?"
+        # without len(), which a range past sys.maxsize years cannot give.
+        if not years[len(values):]:
+            return sum(map(values.get, window, repeat(0)))
+        if window.axis == ROW:
+            return sum(n for (k, i), n in values.items() if k == line and i in years)
+        return sum(n for (k, i), n in values.items() if i == line and k in years)
 
     def pub(self, year: int) -> int:
         lo, hi = self.pub_years
         if not lo <= year <= hi:
             raise ValueError(f"{year} is outside the publication years {self.pub_years}")
         return self.publications.count(year)
-
-    def covers_pub_year(self, year: int) -> bool:
-        return self.pub_years[0] <= year <= self.pub_years[1]
-
-    def covers_cite_year(self, year: int) -> bool:
-        return self.cite_years[0] <= year <= self.cite_years[1]
 
     def column_total(self, pub_year: int) -> int:
         """All citations received by one publication year."""
@@ -318,11 +298,12 @@ def _journals_per_cell(
     matrix: PubCitMatrix, events: Iterable[CitationEvent]
 ) -> dict[Cell, set[JournalId]]:
     """Group in-grid events by cell, verifying they recount the matrix."""
+    (pub_lo, pub_hi), (cite_lo, cite_hi) = matrix.pub_years, matrix.cite_years
     counts: Counter[Cell] = Counter()
     journals: defaultdict[Cell, set[JournalId]] = defaultdict(set)
     for event in events:
         cell = (event.citing_year, event.cited_pub_year)
-        if matrix.covers_cite_year(cell[0]) and matrix.covers_pub_year(cell[1]):
+        if cite_lo <= cell[0] <= cite_hi and pub_lo <= cell[1] <= pub_hi:
             counts[cell] += 1
             journals[cell].add(event.citing_journal)
     if dict(counts) != {cell: n for cell, n in matrix.citations.items() if n}:

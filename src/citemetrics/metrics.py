@@ -302,7 +302,8 @@ def rowlands_jdf(
     if pub_clipped[0] > pub_clipped[1] or cite_clipped[0] > cite_clipped[1]:
         _undefined("the requested block has no overlap with the matrix year spans")
     cells = tuple((k, i) for k in year_range(cite_clipped) for i in year_range(pub_clipped))
-    denominator = matrix.window_sum(cells)
+    rows = (Window(ROW, k, year_range(pub_clipped)) for k in year_range(cite_clipped))
+    denominator = sum(map(matrix.window_sum, rows))
     if denominator == 0:
         _undefined("no citations fall inside the block")
     numerator = 100 * distinct_journals_block(events, pub_clipped, cite_clipped)

@@ -99,17 +99,20 @@ class TestIngest:
 
     def test_non_utf8_citations_exit_1_with_file_and_line(self, corpus, capsys):
         pubs, cites, out = corpus
-        cites.write_bytes(
-            b"cited_article_id,cited_pub_year,citing_journal,citing_year\n"
-            b"a1,2004,Lancet,2005\n"
-            b"a1,2004,Lanc\xe9t,2005\n"
-        )
-        code = main(["ingest", "--pubs", str(pubs), "--cites", str(cites), "--matrix", str(out)])
-        assert code == 1
-        err = capsys.readouterr().err
-        assert err.startswith(f"citemetrics: error: {cites}: line 3: not valid UTF-8")
-        assert "Traceback" not in err and err.count("\n") == 1
-        assert not out.exists()
+        header = b"cited_article_id,cited_pub_year,citing_journal,citing_year\n"
+        for body in (
+            b"a1,2004,Lancet,2005\na1,2004,Lanc\xe9t,2005\n",
+            # The decoder reads ahead, so the undecodable byte stops the read
+            # before the csv module refuses the oversized field on line 2.
+            b'a1,2004,"' + b"x" * 140_000 + b'",2005\na1,2004,Lancet,2005\xff\n',
+        ):
+            cites.write_bytes(header + body)
+            code = main(["ingest", "--pubs", str(pubs), "--cites", str(cites), "--matrix", str(out)])
+            assert code == 1
+            err = capsys.readouterr().err
+            assert err.startswith(f"citemetrics: error: {cites}: line 3: not valid UTF-8")
+            assert "Traceback" not in err and err.count("\n") == 1
+            assert not out.exists()
 
     def test_non_utf8_publications_exit_1(self, corpus, capsys):
         pubs, cites, out = corpus
@@ -151,7 +154,7 @@ class TestIngest:
         code = main(["ingest", "--pubs", str(pubs), "--cites", str(cites), "--matrix", str(out)])
         assert code == 1
         assert capsys.readouterr().err == (
-            "citemetrics: error: line 5, column 'citing_year': expected a 4-digit year, got 'soon'\n"
+            f"citemetrics: error: {cites}: line 5, column 'citing_year': expected a 4-digit year, got 'soon'\n"
         )
         assert not out.exists()
 
@@ -167,7 +170,7 @@ class TestIngest:
         code = main(["ingest", "--pubs", str(pubs), "--cites", str(cites), "--matrix", str(out)])
         assert code == 1
         assert capsys.readouterr().err == (
-            "citemetrics: error: line 3, column 'citing_journal': "
+            f"citemetrics: error: {cites}: line 3, column 'citing_journal': "
             "journal name is empty after normalization\n"
         )
         assert not out.exists()
@@ -183,7 +186,7 @@ class TestIngest:
         argv = ["ingest", "--pubs", str(pubs), "--cites", str(cites), "--aliases", str(aliases), "--matrix", str(out)]
         assert main(argv) == 1
         assert capsys.readouterr().err == (
-            "citemetrics: error: alias 'mjm' maps to both 'alpha' and 'beta'\n"
+            f"citemetrics: error: {aliases}: alias 'mjm' maps to both 'alpha' and 'beta'\n"
         )
         assert not out.exists()
 
@@ -403,6 +406,24 @@ class TestShift:
         assert capsys.readouterr().out == "0.63 (exact 65/104)\n"
 
 
+class TestRequestChecks:
+    @pytest.mark.parametrize(
+        ("options", "message"),
+        [
+            (["--window", "0"], "--window must be a positive integer or 'max', got '0'"),
+            (["--window", "-3"], "--window must be a positive integer or 'max', got '-3'"),
+            (["--window", "2", "--precision", "-1"], "--precision must be non-negative"),
+        ],
+    )
+    def test_a_bad_option_is_a_one_line_usage_error(self, options, message, tmp_path, capsys):
+        missing = str(tmp_path / "never-read.json")  # the checks come before the fixture loads
+        argv = ["metric", "--matrix", missing, "--kind", "sync_if", "--year", "2009"]
+        assert main(argv + options) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"citemetrics: error: {message}\n"
+
+
 class TestCountLimit:
     """Counts above 10^18, and integer literals too long for Python to read,
     are refused as bad fixtures before anything renders them."""
@@ -443,7 +464,7 @@ class TestCountLimit:
         pubs.write_text("year,count\n2004,3\n2005,5000000000000000000000\n")
         assert main(["ingest", "--pubs", str(pubs), "--cites", str(cites), "--matrix", str(out)]) == 1
         assert capsys.readouterr().err == (
-            "citemetrics: error: line 3, column 'count': count is above the limit of 10**18\n"
+            f"citemetrics: error: {pubs}: line 3, column 'count': count is above the limit of 10**18\n"
         )
         assert not out.exists()
 

@@ -390,19 +390,46 @@ def test_load_fixture_rejects_undecodable_and_deeply_nested_files(tmp_path):
 @pytest.mark.parametrize(
     ("pub_years", "publications", "covers"),
     [
-        ([2004, 2004], {"2004": 1, " 2004": 2}, True),
-        ([2004, 2005], {"2004": 1, " 2004": 2, "2005": 3}, True),
-        ([2004, 2006], {"2004": 1, " 2004": 2, "2005": 3}, False),
+        ([2004, 2004], {"2004": 2}, True),
+        ([2004, 2005], {"2004": 2, "2005": 3}, True),
+        ([2004, 2006], {"2004": 1, "2005": 3}, False),
         ([2004, 2005], {"2004": 1, "2006": 2}, False),
-        ([2004, 2005], {"2004": 1, "+2005": 2, "2003": 2}, False),
+        ([2004, 2005], {"2004": 1, "2005": 2, "2003": 2}, False),
         ([2004, 2005], {"2004": 1, "2005": 2, "2006": 2}, False),
     ],
 )
 def test_publications_cover_the_span_by_distinct_years(pub_years, publications, covers):
-    """Keys that parse to one year count once, and the last one's value wins."""
+    """Every year of the span has its key, and no key lies outside it."""
     doc = {"pub_years": pub_years, "cite_years": [0, 0], "publications": publications, "citations": []}
     if covers:
         assert load_document(doc).matrix.pub(2004) == 2
     else:
         with pytest.raises(FixtureError, match="^publications must cover exactly the pub_years span$"):
             load_document(doc)
+
+
+@pytest.mark.parametrize(
+    ("field", "value", "message"),
+    [
+        ("citations", {}, "citations must be a list of [citation_year, pub_year, count] triples"),
+        ("publications", [[2004, 3]], "publications must be an object of year -> count"),
+        ("publications", {"2004": -1, "2005": 2}, "publications[2004] must be a non-negative integer"),
+        ("publications", {"2004": True, "2005": 2}, "publications[2004] must be a non-negative integer"),
+        ("publications", {"2004": 1.5, "2005": 2}, "publications[2004] must be a non-negative integer"),
+        # A key is read only in the form ingest writes it, str(year).
+        ("publications", {"2_004": 3, "2005": 2}, "publications key '2_004' is not a year"),
+        ("publications", {"+2004": 3, "2005": 2}, "publications key '+2004' is not a year"),
+        ("publications", {" 2004 ": 3, "2005": 2}, "publications key ' 2004 ' is not a year"),
+        ("publications", {"٢٠٠٤": 3, "2005": 2}, "publications key '٢٠٠٤' is not a year"),
+        ("publications", {"02004": 3, "2005": 2}, "publications key '02004' is not a year"),
+        ("publications", {"2004": 1, " 2004": 2, "2005": 3}, "publications key ' 2004' is not a year"),
+        ("publications", {"2004": 1, "+2005": 2}, "publications key '+2005' is not a year"),
+        ("publications", {2004: 3, "2005": 2}, "publications key 2004 is not a year"),
+    ],
+)
+def test_a_malformed_block_is_refused_with_its_text(field, value, message):
+    doc = _small_doc()
+    doc[field] = value
+    with pytest.raises(FixtureError) as err:
+        load_document(doc)
+    assert str(err.value) == message

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from citemetrics.cli import main
 from citemetrics.errors import AliasTableError, ParseError
-from citemetrics.fixture import save_fixture
+from citemetrics.fixture import load_fixture, save_fixture
 from citemetrics.ingest import (
     backdated_records,
     deduplicate_events,
@@ -92,12 +92,18 @@ def _read(path, parse):
 
 
 def reference_ingest(pubs, cites, aliases, out):
-    """(exit code, stdout, stderr) of the step functions and save_fixture."""
+    """(exit code, stdout, stderr) of the step functions and save_fixture.
+    A refusal names the file whose step raised it; normalization counts as
+    a step of the citations file."""
+    source = pubs
     try:
         ledger = _read(pubs, parse_publications)
+        source = aliases
         alias_table = _read(aliases, load_alias_table) if aliases else None
+        source = cites
         records = _read(cites, parse_citations)
         _, event_list = normalize_journal_names(records, alias_table)
+        source = None
         events, removed = deduplicate_events(event_list)
         backdated = backdated_records(records)
         if ledger.years is None:
@@ -109,7 +115,8 @@ def reference_ingest(pubs, cites, aliases, out):
         diach = augment_diachronous(matrix, events)
         save_fixture(out, matrix, sync, diach)
     except (ParseError, AliasTableError) as exc:
-        return 1, "", f"citemetrics: error: {exc}\n"
+        where = f"{source}: " if source else ""
+        return 1, "", f"citemetrics: error: {where}{exc}\n"
     lines = ", ".join(str(r.source_line) for r in backdated[:20])
     more = " ..." if len(backdated) > 20 else ""
     stdout = (
@@ -159,7 +166,17 @@ def test_single_pass_ingest_matches_the_step_functions(corpus):
             aliases = os.path.join(tmp, "aliases.csv")
             _write_csv(aliases, ["raw", "canonical"], alias_rows)
         expected = _outcome(reference_ingest, pubs, cites, aliases, out)
-        assert _outcome(_cli_ingest, pubs, cites, aliases, out) == expected
+        got = _outcome(_cli_ingest, pubs, cites, aliases, out)
+        assert got == expected
+        written = got[1]
+        if written is not None:
+            # The loader reads back exactly what ingest wrote.
+            with open(out, "wb") as fh:
+                fh.write(written)
+            fixture = load_fixture(out)
+            save_fixture(out, fixture.matrix, fixture.sync, fixture.diach)
+            with open(out, "rb") as fh:
+                assert fh.read() == written
 
 
 def test_years_whose_digits_run_together_alike_are_two_rows():

@@ -6,9 +6,13 @@ from hypothesis import strategies as st
 
 from citemetrics.ingest import CitationEvent, JournalId, PublicationLedger
 from citemetrics.matrix import (
+    COLUMN,
     DIACHRONOUS,
+    ROW,
     SYNCHRONOUS,
     AugmentedMatrix,
+    Window,
+    augment,
     augment_diachronous,
     augment_synchronous,
     build_pc_matrix,
@@ -84,29 +88,13 @@ def test_window_sum_matches_cell_reads():
     for _ in range(20):
         events, ledger, pub_span, cite_span = random_corpus(rng)
         matrix, sync, diach = build_all(events, ledger, pub_span, cite_span)
-        windows = [[(k, i) for i in year_range(pub_span)] for k in year_range(cite_span)]
-        windows += [[(k, i) for k in year_range(cite_span)] for i in year_range(pub_span)]
-        windows.append([(k, i) for k in year_range(cite_span) for i in year_range(pub_span)])
-        for cells in windows:
-            assert matrix.window_sum(cells) == sum(matrix.cit(*cell) for cell in cells)
-            assert matrix.window_sum(cells, sync.unique_new) == sum(sync.unique(*c) for c in cells)
-            assert matrix.window_sum(cells, diach.unique_new) == sum(diach.unique(*c) for c in cells)
-    assert matrix.window_sum([]) == 0
-
-
-@pytest.mark.parametrize(
-    "cells",
-    [
-        [(2004, 2003), (2004, 2004)],  # first cell off the grid
-        [(2010, 2008), (2011, 2008)],  # last cell off the grid
-        [(2003, 2004)],
-    ],
-)
-def test_window_sum_off_the_grid_raises(mjm, cells):
-    with pytest.raises(ValueError, match="outside the matrix"):
-        mjm.matrix.window_sum(cells)
-    with pytest.raises(ValueError, match="outside the matrix"):
-        mjm.matrix.window_sum(cells, mjm.diach.unique_new)
+        windows = [Window(ROW, k, year_range(pub_span)) for k in year_range(cite_span)]
+        windows += [Window(COLUMN, i, year_range(cite_span)) for i in year_range(pub_span)]
+        for window in windows:
+            assert matrix.window_sum(window) == sum(matrix.cit(*cell) for cell in window)
+            assert matrix.window_sum(window, sync.unique_new) == sum(sync.unique(*c) for c in window)
+            assert matrix.window_sum(window, diach.unique_new) == sum(diach.unique(*c) for c in window)
+    assert matrix.window_sum(Window(ROW, cite_span[0], range(0))) == 0
 
 
 class TestSynchronousScan:
@@ -178,6 +166,9 @@ def test_unknown_variant_rejected():
     m = build_pc_matrix([], LEDGER_2004_2006, (2004, 2006), (2004, 2006))
     with pytest.raises(ValueError):
         AugmentedMatrix("sideways", dict.fromkeys(m.citations, 0), m)
+    with pytest.raises(ValueError) as err:
+        augment(m, {}, "sideways")
+    assert str(err.value) == "unknown augmentation variant 'sideways'"
 
 
 def test_distinct_journals_block_ignores_repeat_visits():

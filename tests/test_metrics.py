@@ -318,6 +318,22 @@ class TestRowlands:
         with pytest.raises(UndefinedMetricError):
             rowlands_jdf(events, m, (2004, 2004), (2006, 2006))
 
+    def test_block_sums_every_cell_of_the_rectangle(self):
+        rng = random.Random(7)
+        rectangles = 0
+        for _ in range(60):
+            events, ledger, pub_span, cite_span = random_corpus(rng)
+            matrix, _, _ = build_all(events, ledger, pub_span, cite_span)
+            cells = tuple((k, i) for k in year_range(cite_span) for i in year_range(pub_span))
+            denominator = sum(matrix.cit(*cell) for cell in cells)
+            if denominator == 0:
+                continue
+            v = rowlands_jdf(events, matrix, pub_span, cite_span)
+            assert v.denominator == denominator
+            assert v.effective_window == cells
+            rectangles += pub_span[0] < pub_span[1] and cite_span[0] < cite_span[1]
+        assert rectangles >= 10, rectangles
+
     def test_single_column_consistent_with_the_dataset(self, mjm):
         """Events engineered to reproduce the sample dataset's 2006 column
         give the block score 100 * 206/253."""
