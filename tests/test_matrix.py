@@ -97,6 +97,24 @@ def test_window_sum_matches_cell_reads():
     assert matrix.window_sum(Window(ROW, cite_span[0], range(0))) == 0
 
 
+@pytest.mark.parametrize(
+    "cells, window",
+    [
+        # first cell off the grid
+        pytest.param([(2004, 2003), (2004, 2004)], Window(ROW, 2004, range(2003, 2005)), id="cells0"),
+        # last cell off the grid
+        pytest.param([(2010, 2008), (2011, 2008)], Window(COLUMN, 2008, range(2010, 2012)), id="cells1"),
+        pytest.param([(2003, 2004)], Window(ROW, 2003, range(2004, 2005)), id="cells2"),
+    ],
+)
+def test_window_sum_off_the_grid_raises(mjm, cells, window):
+    assert list(window) == cells
+    with pytest.raises(ValueError, match="outside the matrix"):
+        mjm.matrix.window_sum(window)
+    with pytest.raises(ValueError, match="outside the matrix"):
+        mjm.matrix.window_sum(window, mjm.diach.unique_new)
+
+
 class TestSynchronousScan:
     def test_journal_lands_on_newest_cited_year_in_its_row(self):
         # one journal cites 2004 and 2006 articles during 2007
