@@ -43,6 +43,19 @@ MAX_PRECISION = 1000
 MAX_LISTED = 10**4
 
 
+def _integer(text: str) -> int:
+    """An optional ``-`` and ASCII digits, as a fixture writes its years:
+    ``int()`` alone would also take ``2_009``, ``+2009``, ``' 2009'`` and
+    ``٢٠٠٩``."""
+    digits = text.removeprefix("-")
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"not an integer: {text!r}")
+    return int(text)
+
+
+_integer.__name__ = "int"  # argparse names the type in its refusal: "invalid int value: '2_009'"
+
+
 class _Parser(argparse.ArgumentParser):
     # argparse exits with 2 on bad usage; this tool reserves 2 for
     # undefined metrics, so usage problems are remapped to 1.
@@ -65,16 +78,16 @@ def build_parser() -> argparse.ArgumentParser:
     metric = sub.add_parser("metric", help="evaluate one indicator")
     metric.add_argument("--matrix", required=True, help="fixture file to read")
     metric.add_argument("--kind", required=True, choices=REQUEST_KINDS)
-    metric.add_argument("--year", required=True, type=int)
+    metric.add_argument("--year", required=True, type=_integer)
     metric.add_argument("--window", help="window length in years, or 'max'")
-    metric.add_argument("--shift", type=int, default=1, help="first citing year offset (diach_if only)")
+    metric.add_argument("--shift", type=_integer, default=1, help="first citing year offset (diach_if only)")
     metric.add_argument(
         "--no-clip",
         action="store_true",
         help="treat windows reaching past the matrix bounds as undefined instead of truncating",
     )
     metric.add_argument(
-        "--precision", type=int, default=2, help=f"decimal places in the rendering (0 to {MAX_PRECISION})"
+        "--precision", type=_integer, default=2, help=f"decimal places in the rendering (0 to {MAX_PRECISION})"
     )
     metric.add_argument("--format", choices=("text", "structured"), default="text")
     metric.set_defaults(func=cmd_metric)
@@ -158,7 +171,7 @@ def _parse_window(text: str | None) -> int | None:
     if text is None or text.strip().lower() == "max":
         return None
     try:
-        window = int(text)
+        window = _integer(text)
     except ValueError:
         raise ParseError(f"--window must be a positive integer or 'max', got {text!r}") from None
     if window < 1:

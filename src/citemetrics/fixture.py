@@ -17,6 +17,7 @@ fixture fails loudly instead of silently dropping data.
 
 from __future__ import annotations
 
+import io
 import json
 import os
 import secrets
@@ -225,13 +226,30 @@ def _object_without_duplicates(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
     return obj
 
 
+# The bytes of the last successful load_fixture and the fixture it built.
+_last: tuple[bytes, MatrixFixture] | None = None
+
+
 def load_fixture(path: str | Path) -> MatrixFixture:
     """Read and validate a fixture file.
 
     Beyond :func:`load_document`'s checks, a key repeated within one JSON
     object is rejected rather than letting the last value win.
+
+    The last fixture loaded is kept with the file's bytes, and a later call
+    that reads the same bytes, from any path, returns that same object
+    without decoding them again. Callers share it, so they must treat its
+    maps as read-only, as every function in this package does.
     """
-    with open(path, encoding="utf-8") as fh:
+    global _last
+    with open(path, "rb") as fh:
+        data = fh.read()
+    if _last is not None and _last[0] == data:
+        return _last[1]
+    _last = None  # free the previous fixture before building the next
+    # A text wrapper, as open() in text mode gives, so line endings and
+    # error positions read as they would from the file itself.
+    with io.TextIOWrapper(io.BytesIO(data), encoding="utf-8") as fh:
         try:
             doc = json.load(fh, object_pairs_hook=_object_without_duplicates)
         # ValueError covers JSONDecodeError, UnicodeDecodeError and an
@@ -240,7 +258,9 @@ def load_fixture(path: str | Path) -> MatrixFixture:
             raise FixtureError(f"{path}: not valid JSON ({exc})") from None
         except FixtureError as exc:
             raise FixtureError(f"{path}: {exc}") from None
-    return load_document(doc)
+    fixture = load_document(doc)
+    _last = (data, fixture)
+    return fixture
 
 
 def _write_document(fh, doc: dict) -> None:

@@ -263,16 +263,21 @@ def normalize_journal_name(raw: str) -> str:
     return " ".join(raw.casefold().split()).rstrip(_TRAILING_JUNK)
 
 
-def _normalize_alias_table(alias_table: Mapping[str, str]) -> dict[str, str]:
+def _normalize_alias_table(
+    alias_table: Mapping[str, str], lines: Mapping[str, int] | None = None
+) -> dict[str, str]:
+    """Normalize both sides of each alias entry. ``lines`` gives the alias
+    file's line for each raw spelling, which a refusal then names."""
     normalized: dict[str, str] = {}
     for raw, canonical in alias_table.items():
+        where = f"line {lines[raw]}: " if lines else ""
         key = normalize_journal_name(raw)
         value = normalize_journal_name(canonical)
         if not key or not value:
-            raise AliasTableError(f"alias entry {raw!r} -> {canonical!r} normalizes to an empty name")
+            raise AliasTableError(f"{where}alias entry {raw!r} -> {canonical!r} normalizes to an empty name")
         if normalized.get(key, value) != value:
             raise AliasTableError(
-                f"alias {key!r} maps to both {normalized[key]!r} and {value!r}"
+                f"{where}alias {key!r} maps to both {normalized[key]!r} and {value!r}"
             )
         normalized[key] = value
     return normalized
@@ -282,6 +287,7 @@ def load_alias_table(stream: IO[str]) -> dict[str, str]:
     """Read a ``raw,canonical`` CSV into a normalized alias mapping."""
     reader, _ = _table(stream, "alias", (("raw", "canonical"),), "'raw,canonical'")
     table: dict[str, str] = {}
+    lines: dict[str, int] = {}  # each raw spelling's first line
     for line, (raw, canonical) in _rows(reader, 2):
         if not raw:
             raise ParseError("raw name is empty", line=line, column="raw")
@@ -290,7 +296,8 @@ def load_alias_table(stream: IO[str]) -> dict[str, str]:
         if table.get(raw, canonical) != canonical:
             raise AliasTableError(f"line {line}: alias {raw!r} maps to both {table[raw]!r} and {canonical!r}")
         table[raw] = canonical
-    return _normalize_alias_table(table)
+        lines.setdefault(raw, line)
+    return _normalize_alias_table(table, lines)
 
 
 def normalize_journal_names(

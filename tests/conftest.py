@@ -3,6 +3,7 @@ import pathlib
 
 import pytest
 
+from citemetrics import fixture
 from citemetrics.fixture import load_fixture
 
 DATA = pathlib.Path(__file__).parent / "data"
@@ -24,3 +25,19 @@ def mjm_doc():
 @pytest.fixture(scope="session")
 def golden_report_csv():
     return (DATA / "mjm_report_golden.csv").read_text()
+
+
+@pytest.fixture()
+def decodes(monkeypatch):
+    """Empty load_fixture's slot, then count the JSON documents it decodes
+    (one entry per call to ``json.load``)."""
+    monkeypatch.setattr(fixture, "_last", None)
+    calls = []
+    real = json.load
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(json, "load", counting)
+    return calls

@@ -1,10 +1,12 @@
 import json
+import os
 import tracemalloc
 
 import pytest
 
 from citemetrics.cli import main
-from citemetrics.fixture import load_fixture
+from citemetrics.fixture import load_document, load_fixture
+from citemetrics.metrics import REQUEST_KINDS
 
 from conftest import DATA
 
@@ -186,7 +188,7 @@ class TestIngest:
         argv = ["ingest", "--pubs", str(pubs), "--cites", str(cites), "--aliases", str(aliases), "--matrix", str(out)]
         assert main(argv) == 1
         assert capsys.readouterr().err == (
-            f"citemetrics: error: {aliases}: alias 'mjm' maps to both 'alpha' and 'beta'\n"
+            f"citemetrics: error: {aliases}: line 3: alias 'mjm' maps to both 'alpha' and 'beta'\n"
         )
         assert not out.exists()
 
@@ -413,6 +415,9 @@ class TestRequestChecks:
             (["--window", "0"], "--window must be a positive integer or 'max', got '0'"),
             (["--window", "-3"], "--window must be a positive integer or 'max', got '-3'"),
             (["--window", "2", "--precision", "-1"], "--precision must be non-negative"),
+            (["--window", "1_0"], "--window must be a positive integer or 'max', got '1_0'"),
+            (["--window", "+3"], "--window must be a positive integer or 'max', got '+3'"),
+            (["--window", " ٣ "], "--window must be a positive integer or 'max', got ' ٣ '"),
         ],
     )
     def test_a_bad_option_is_a_one_line_usage_error(self, options, message, tmp_path, capsys):
@@ -422,6 +427,82 @@ class TestRequestChecks:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"citemetrics: error: {message}\n"
+
+    @pytest.mark.parametrize(
+        ("option", "value"),
+        [
+            ("--year", "2_009"),
+            ("--year", "+2009"),
+            ("--year", "٢٠٠٩"),
+            ("--year", " 2009"),
+            ("--year", "2009 "),
+            ("--year", "-"),
+            ("--shift", "+1"),
+            ("--precision", "1_0"),
+        ],
+    )
+    def test_an_integer_option_takes_a_sign_and_ascii_digits_only(self, option, value, tmp_path, capsys):
+        missing = str(tmp_path / "never-read.json")
+        argv = ["metric", "--matrix", missing, "--kind", "diach_if", "--year", "2009", "--window", "2"]
+        assert main(argv + [option, value]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines()[-1] == (
+            f"citemetrics metric: error: argument {option}: invalid int value: {value!r}"
+        )
+
+    @pytest.mark.parametrize(
+        ("options", "code", "out", "err"),
+        [
+            (["--year", "-5"], 2, "", "citemetrics: undefined: -5 is outside the publication years 2004-2008\n"),
+            (["--year", "02006"], 0, "1.13 (exact 118/104)\n", ""),
+            (["--year", "2006", "--shift", "-1"], 1, "", "citemetrics: error: --shift must be non-negative, got -1\n"),
+        ],
+    )
+    def test_a_minus_sign_and_leading_zeros_read_as_before(self, options, code, out, err, capsys):
+        assert main(["metric", "--matrix", MJM, "--kind", "diach_if", "--window", "2"] + options) == code
+        assert capsys.readouterr() == (out, err)
+
+
+class TestFixtureReuse:
+    """A process reads a fixture once while its bytes stay the same, and
+    never serves a stale or changed one."""
+
+    def test_a_same_size_rewrite_under_the_old_mtime_is_read_again(self, tmp_path, decodes, monkeypatch, capsys):
+        text = (DATA / "mjm_fixture.json").read_text()
+        path = tmp_path / "fx.json"
+        path.write_text(text)
+        argv = ["metric", "--matrix", str(path), "--kind", "garfield_if", "--year", "2009"]
+        assert main(argv) == 0
+        assert main(argv) == 0
+        assert capsys.readouterr().out == "0.37 (exact 87/235)\n" * 2
+        assert len(decodes) == 1
+        before = path.stat()
+        path.write_text(text.replace('"2008": 135', '"2008": 153'))
+        os.utime(path, ns=(before.st_atime_ns, before.st_mtime_ns))
+        after = path.stat()
+        assert (after.st_size, after.st_mtime_ns, after.st_ino) == (before.st_size, before.st_mtime_ns, before.st_ino)
+        assert main(argv) == 0
+        assert capsys.readouterr().out == "0.34 (exact 87/253)\n"
+        assert len(decodes) == 2
+
+    def test_no_command_changes_the_fixture_it_shares(self, tmp_path, decodes, capsys):
+        text = (DATA / "mjm_fixture.json").read_text()
+        path = tmp_path / "fx.json"
+        path.write_text(text)
+        metric = ["metric", "--matrix", str(path)]
+        for kind in REQUEST_KINDS:
+            windows = [[]] if kind == "garfield_if" else [["--window", "1"], ["--window", "3"], ["--window", "max"]]
+            for year in ("2004", "2006", "2009"):
+                for window in windows:
+                    for extra in ([], ["--no-clip"], ["--format", "structured"]):
+                        assert main(metric + ["--kind", kind, "--year", year] + window + extra) in (0, 2)
+        for form in ("table", "csv", "structured"):
+            assert main(["report", "--matrix", str(path), "--format", form]) == 0
+        capsys.readouterr()
+        assert len(decodes) == 1
+        assert load_fixture(path) == load_document(json.loads(text))
+        assert len(decodes) == 1
 
 
 class TestCountLimit:

@@ -256,6 +256,71 @@ def test_load_fixture_rejects_bad_json(tmp_path):
         load_fixture(path)
 
 
+@pytest.mark.parametrize(
+    ("data", "reason"),
+    [
+        # Read as text: the error position counts each CRLF as one character.
+        (
+            b'{\r\n  "pub_years": [2004, 2005],\r\n  "cite_years": [2004]"citations": []\r\n}\r\n',
+            "Expecting ',' delimiter: line 3 column 23 (char 53)",
+        ),
+        (b'{"pub_years": [2004, \xff2005]}', "'utf-8' codec can't decode byte 0xff in position 21: invalid start byte"),
+        (b'\xef\xbb\xbf{"pub_years": [2004, 2005]}', "Unexpected UTF-8 BOM (decode using utf-8-sig): line 1 column 1 (char 0)"),
+    ],
+    ids=["crlf", "not utf-8", "byte-order mark"],
+)
+def test_an_undecodable_file_is_refused_with_its_text(tmp_path, data, reason):
+    path = tmp_path / "broken.json"
+    path.write_bytes(data)
+    with pytest.raises(FixtureError) as err:
+        load_fixture(path)
+    assert str(err.value) == f"{path}: not valid JSON ({reason})"
+
+
+def test_unchanged_bytes_are_decoded_once(tmp_path, decodes):
+    text = json.dumps(_small_doc())
+    first, second = tmp_path / "a.json", tmp_path / "b.json"
+    first.write_text(text)
+    second.write_text(text)
+    loaded = load_fixture(first)
+    assert load_fixture(first) is loaded
+    assert load_fixture(second) is loaded  # the bytes decide, not the path
+    assert len(decodes) == 1
+    assert loaded == load_document(_small_doc())
+    second.write_text(text + " ")
+    assert load_fixture(second) is not loaded
+    assert len(decodes) == 2
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        b"{not json",
+        b"",
+        b'{"pub_years": "\xe9"}',
+        json.dumps(_small_doc()).replace('"2004": 3', '"2004": 9, "2004": 3').encode(),
+        json.dumps({**_small_doc(), "surprise": 1}).encode(),
+        json.dumps({**_small_doc(), "citations": [[2005, 2004, -2]]}).encode(),
+    ],
+    ids=["syntax", "empty", "not utf-8", "duplicate key", "unknown field", "negative count"],
+)
+def test_a_failed_load_is_never_kept(tmp_path, decodes, bad):
+    good, broken = tmp_path / "a.json", tmp_path / "b.json"
+    good.write_text(json.dumps(_small_doc()))
+    broken.write_bytes(bad)
+    first = load_fixture(good)
+    messages = set()
+    for _ in range(2):
+        with pytest.raises(FixtureError) as err:
+            load_fixture(broken)
+        messages.add(str(err.value))
+    assert len(messages) == 1
+    again = load_fixture(good)
+    assert again == load_document(_small_doc())
+    assert again is not first
+    assert len(decodes) == 4  # the good file, the bad one twice, the good one again
+
+
 def test_bundled_dataset_loads(mjm):
     assert mjm.matrix.pub_years == (2004, 2008)
     assert mjm.matrix.cite_years == (2004, 2010)

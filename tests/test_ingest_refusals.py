@@ -320,17 +320,46 @@ def test_alias_refusal(text, message, line, column):
         ),
         (
             "raw,canonical\nMJM,alpha\nmjm.,beta\n",
-            "alias 'mjm' maps to both 'alpha' and 'beta'",
+            "line 3: alias 'mjm' maps to both 'alpha' and 'beta'",
         ),
         (
             "raw,canonical\nMJM,alpha\n...,beta\n",
-            "alias entry '...' -> 'beta' normalizes to an empty name",
+            "line 3: alias entry '...' -> 'beta' normalizes to an empty name",
+        ),
+        (
+            "raw,canonical\nmjm.,beta\n\nMJM,alpha\nmjm.,beta\n",
+            "line 4: alias 'mjm' maps to both 'beta' and 'alpha'",
+        ),
+        (
+            "raw,canonical\nMJM,alpha\nmjm.,beta\nX,a\nX,b\n",
+            "line 5: alias 'X' maps to both 'a' and 'b'",
         ),
     ],
-    ids=["raw spelling", "after normalization", "empty after normalization"],
+    ids=[
+        "raw spelling",
+        "after normalization",
+        "empty after normalization",
+        "a repeated spelling names its first line",
+        "a raw conflict outranks an earlier normalized one",
+    ],
 )
 def test_alias_table_conflict(text, message):
     assert str(_refusal(_aliases, text, AliasTableError)) == message
+
+
+@pytest.mark.parametrize(
+    "table, message",
+    [
+        ({"MJM": "alpha", "mjm.": "beta"}, "alias 'mjm' maps to both 'alpha' and 'beta'"),
+        ({"MJM": "alpha", "...": "beta"}, "alias entry '...' -> 'beta' normalizes to an empty name"),
+    ],
+    ids=["after normalization", "empty after normalization"],
+)
+def test_an_alias_dict_has_no_lines_to_name(table, message):
+    for apply in (lambda: normalize_journal_names([], table), lambda: index_citations(io.StringIO(H4), table)):
+        with pytest.raises(AliasTableError) as info:
+            apply()
+        assert str(info.value) == message
 
 
 class TestAcceptedForms:
