@@ -44,12 +44,11 @@ MAX_LISTED = 10**4
 
 
 def _integer(text: str) -> int:
-    """An optional ``-`` and ASCII digits, as a fixture writes its years:
-    ``int()`` alone would also take ``2_009``, ``+2009``, ``' 2009'`` and
-    ``٢٠٠٩``."""
+    """An optional ``-`` and ASCII digits only: ``int()`` alone would also
+    take ``2_009``, ``+2009``, ``' 2009'`` and ``٢٠٠٩``."""
     digits = text.removeprefix("-")
     if not (digits.isascii() and digits.isdigit()):
-        raise ValueError(f"not an integer: {text!r}")
+        raise ValueError(text)
     return int(text)
 
 

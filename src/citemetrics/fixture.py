@@ -13,6 +13,9 @@ A fixture is a JSON object with exactly these fields:
 
 Unknown fields are rejected rather than ignored, so a typo in a hand-edited
 fixture fails loudly instead of silently dropping data.
+
+:func:`load_fixture` decodes and checks a file's bytes once per process:
+while they stay the same, it returns the fixture it built from them.
 """
 
 from __future__ import annotations
@@ -242,8 +245,7 @@ def load_fixture(path: str | Path) -> MatrixFixture:
     maps as read-only, as every function in this package does.
     """
     global _last
-    with open(path, "rb") as fh:
-        data = fh.read()
+    data = Path(path).read_bytes()
     if _last is not None and _last[0] == data:
         return _last[1]
     _last = None  # free the previous fixture before building the next
