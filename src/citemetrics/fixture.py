@@ -246,8 +246,9 @@ def load_fixture(path: str | Path) -> MatrixFixture:
     """
     global _last
     data = Path(path).read_bytes()
-    if _last is not None and _last[0] == data:
-        return _last[1]
+    last = _last  # one read, so another thread's load cannot empty it midway
+    if last is not None and last[0] == data:
+        return last[1]
     _last = None  # free the previous fixture before building the next
     # A text wrapper, as open() in text mode gives, so line endings and
     # error positions read as they would from the file itself.

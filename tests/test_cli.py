@@ -468,7 +468,7 @@ class TestFixtureReuse:
     """A process reads a fixture once while its bytes stay the same, and
     never serves a stale or changed one."""
 
-    def test_a_same_size_rewrite_under_the_old_mtime_is_read_again(self, tmp_path, decodes, monkeypatch, capsys):
+    def test_a_same_size_rewrite_under_the_old_mtime_is_read_again(self, tmp_path, decodes, capsys):
         text = (DATA / "mjm_fixture.json").read_text()
         path = tmp_path / "fx.json"
         path.write_text(text)
