@@ -245,11 +245,12 @@ def load_fixture(path: str | Path) -> MatrixFixture:
     maps as read-only, as every function in this package does.
     """
     global _last
-    data = Path(path).read_bytes()
+    with open(path, "rb") as fh:  # open(), so an OSError names the path as given
+        data = fh.read()
     last = _last  # one read, so another thread's load cannot empty it midway
     if last is not None and last[0] == data:
         return last[1]
-    _last = None  # free the previous fixture before building the next
+    _last = last = None  # free the previous fixture before building the next
     # A text wrapper, as open() in text mode gives, so line endings and
     # error positions read as they would from the file itself.
     with io.TextIOWrapper(io.BytesIO(data), encoding="utf-8") as fh:

@@ -294,9 +294,12 @@ class TestMetric:
         assert main(["report", "--matrix", str(bad)]) == 3
         assert "not valid JSON" in capsys.readouterr().err
 
-    def test_missing_fixture_file_exits_1(self, tmp_path, capsys):
-        code = main(["metric", "--matrix", str(tmp_path / "none.json"), "--kind", "sync_if", "--year", "2009", "--window", "2"])
-        assert code == 1
+    def test_missing_fixture_file_exits_1(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        for path in ("none.json", "./none.json", ".//none.json"):  # named exactly as given
+            code = main(["metric", "--matrix", path, "--kind", "sync_if", "--year", "2009", "--window", "2"])
+            assert code == 1
+            assert capsys.readouterr().err == f"citemetrics: error: [Errno 2] No such file or directory: '{path}'\n"
 
 
 class TestReport:

@@ -3,6 +3,7 @@ import io
 import json
 import os
 import stat
+import weakref
 
 import pytest
 from hypothesis import given
@@ -289,6 +290,22 @@ def test_unchanged_bytes_are_decoded_once(tmp_path, decodes):
     assert loaded == load_document(_small_doc())
     second.write_text(text + " ")
     assert load_fixture(second) is not loaded
+    assert len(decodes) == 2
+
+
+def test_the_old_fixture_is_freed_before_the_next_is_decoded(tmp_path, decodes, monkeypatch):
+    first, second = tmp_path / "a.json", tmp_path / "b.json"
+    first.write_text(json.dumps(_small_doc()))
+    second.write_text(json.dumps(_small_doc()) + " ")
+    old = weakref.ref(load_fixture(first))
+    counting = json.load
+
+    def checking(*args, **kwargs):
+        assert old() is None, "the previous fixture is still held"
+        return counting(*args, **kwargs)
+
+    monkeypatch.setattr(json, "load", checking)
+    assert load_fixture(second) == load_document(_small_doc())
     assert len(decodes) == 2
 
 
