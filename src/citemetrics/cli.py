@@ -12,7 +12,6 @@ Each command runs with the cyclic garbage collector paused (see
 from __future__ import annotations
 
 import argparse
-import csv
 import gc
 import json
 import sys
@@ -99,31 +98,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _fault_line(path: str, undecodable: bool) -> str:
-    """``"line N: "`` for the first line of a CSV file that is not UTF-8
-    (``undecodable``), or else for the first record the csv module refuses,
-    found by reading the file again; ``""`` if there is none."""
+def _fault_line(path: str) -> str:
+    """``"line N: "`` for the first line of a CSV file that is not UTF-8;
+    ``""`` if there is none."""
     with open(path, newline="", encoding="utf-8", errors="surrogateescape") as fh:
-        if undecodable:
-            for number, line in enumerate(fh, 1):
-                try:
-                    line.encode("utf-8")  # undecodable bytes came back as surrogates
-                except UnicodeEncodeError:
-                    return f"line {number}: "
-            return ""
-        reader = csv.reader(fh)
-        try:
-            for _ in reader:
-                pass
-        except csv.Error:
-            return f"line {reader.line_num}: "
+        for number, line in enumerate(fh, 1):
+            try:
+                line.encode("utf-8")  # undecodable bytes came back as surrogates
+            except UnicodeEncodeError:
+                return f"line {number}: "
     return ""
 
 
 def _read_csv(path: str, parse):
     """Run one ingest parser over a CSV file. Its refusals, bytes that are
-    not UTF-8 and records the csv module refuses (an oversized field, say)
-    all name the file, and the line where one is known."""
+    not UTF-8 included, name the file, and the line where one is known."""
     error = ParseError
     with open(path, newline="", encoding="utf-8") as fh:
         try:
@@ -131,9 +120,7 @@ def _read_csv(path: str, parse):
         except (ParseError, AliasTableError) as exc:
             error, reason = type(exc), str(exc)
         except UnicodeDecodeError as exc:
-            reason = f"{_fault_line(path, True)}not valid UTF-8 ({exc.reason})"
-        except csv.Error as exc:
-            reason = f"{_fault_line(path, False)}{exc}"
+            reason = f"{_fault_line(path)}not valid UTF-8 ({exc.reason})"
     raise error(f"{path}: {reason}")
 
 
@@ -167,7 +154,7 @@ def cmd_ingest(args) -> int:
 
 
 def _parse_window(text: str | None) -> int | None:
-    if text is None or text.strip().lower() == "max":
+    if text is None or text == "max":
         return None
     try:
         window = _integer(text)

@@ -127,12 +127,16 @@ class PublicationLedger:
 def _table(stream: IO[str], what: str, layouts: tuple[tuple[str, ...], ...], expected: str):
     """Read the header row of the ``what`` CSV, lower-cased, without a
     leading byte-order mark and trimmed on either side of it, and return the
-    csv reader with the header, which must be one of ``layouts``."""
+    csv reader with the header, which must be one of ``layouts``. A record
+    the csv module refuses (an oversized field, say), here or in
+    :func:`_rows`, is a :class:`ParseError` at its line."""
     reader = csv.reader(stream)
     try:
         header = tuple(cell.strip().lstrip("\ufeff").strip().lower() for cell in next(reader))
     except StopIteration:
         raise ParseError(f"{what} file is empty (missing header row)", line=1) from None
+    except csv.Error as exc:
+        raise ParseError(str(exc), line=reader.line_num) from None
     if header not in layouts:
         raise ParseError(f"unrecognized {what} header; expected {expected}", line=1)
     return reader, header
@@ -141,12 +145,15 @@ def _table(stream: IO[str], what: str, layouts: tuple[tuple[str, ...], ...], exp
 def _rows(reader, width: int) -> Iterator[tuple[int, list[str]]]:
     """Yield ``(line, trimmed cells)`` for each non-empty row, which must have
     ``width`` fields. Blank rows are skipped but still count as lines."""
-    for row in reader:
-        if row:
-            cells = [cell.strip() for cell in row]
-            if len(cells) != width:
-                raise ParseError(f"expected {width} fields, got {len(cells)}", line=reader.line_num)
-            yield reader.line_num, cells
+    try:
+        for row in reader:
+            if row:
+                cells = [cell.strip() for cell in row]
+                if len(cells) != width:
+                    raise ParseError(f"expected {width} fields, got {len(cells)}", line=reader.line_num)
+                yield reader.line_num, cells
+    except csv.Error as exc:
+        raise ParseError(str(exc), line=reader.line_num) from None
 
 
 def _parse_year(text: str, *, line: int, column: str) -> int:

@@ -25,7 +25,6 @@ from __future__ import annotations
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
 from typing import Iterable, NoReturn
 
 from .errors import UndefinedMetricError
@@ -157,18 +156,31 @@ class Indicator:
     ``offset`` years from the line (``None``: the request's shift); the
     numerator, citations or the unique-new counts of an augmentation
     ``variant``; and the denominator, articles or, if ``relative``, citations.
+    Its ``name`` is its kind, and its ``__name__``, as a function's would be.
     """
 
+    name: str
     axis: str
     offset: int | None
     variant: str | None
     relative: bool
 
+    @property
+    def __name__(self) -> str:
+        return self.name
+
     def __call__(
-        self, source: PubCitMatrix | AugmentedMatrix, year: int, window: int | None, shift: int = 1, clip: bool = True
+        self,
+        source: PubCitMatrix | AugmentedMatrix,
+        year: int,
+        window: int | None,
+        *,
+        shift: int = 1,
+        clip: bool = True,
     ) -> MetricValue:
         """The indicator for ``year`` over ``source``: the matrix, or the
-        augmented matrix of ``variant``."""
+        augmented matrix of ``variant``. ``shift`` is read only when
+        ``offset`` is None, as for ``diach_if``."""
         if self.variant is not None and source.variant != self.variant:
             raise ValueError(f"this metric needs the {self.variant} augmentation, got {source.variant}")
         matrix, values = (source, None) if self.variant is None else (source.base, source.unique_new)
@@ -191,13 +203,28 @@ class Indicator:
 
 
 INDICATORS = {
-    "sync_if": Indicator(ROW, 1, None, relative=False),
-    "diach_if": Indicator(COLUMN, None, None, relative=False),
-    "sync_jdf": Indicator(ROW, 0, SYNCHRONOUS, relative=False),
-    "diach_jdf": Indicator(COLUMN, 0, DIACHRONOUS, relative=False),
-    "sync_rdf": Indicator(ROW, 0, SYNCHRONOUS, relative=True),
-    "diach_rdf": Indicator(COLUMN, 0, DIACHRONOUS, relative=True),
+    indicator.name: indicator
+    for indicator in (
+        # Synchronous impact factor: one citation year's citations to the
+        # previous ``window`` years, per article published in those years.
+        Indicator("sync_if", ROW, 1, None, relative=False),
+        # Diachronous impact factor: citations to ``year``'s articles over
+        # ``window`` citation years from ``year + shift``, per article.
+        Indicator("diach_if", COLUMN, None, None, relative=False),
+        # Synchronous journal diffusion factor: first-appearance journals in
+        # one citation year's row (window includes the in-year cell) per article.
+        Indicator("sync_jdf", ROW, 0, SYNCHRONOUS, relative=False),
+        # Diachronous journal diffusion factor: journals newly citing
+        # ``year``'s articles (earliest appearance per journal) per article.
+        Indicator("diach_jdf", COLUMN, 0, DIACHRONOUS, relative=False),
+        # Relative synchronous diffusion: the sync_jdf numerator per citation.
+        Indicator("sync_rdf", ROW, 0, SYNCHRONOUS, relative=True),
+        # Relative diachronous diffusion: the diach_jdf numerator per citation.
+        Indicator("diach_rdf", COLUMN, 0, DIACHRONOUS, relative=True),
+    )
 }
+# Each public indicator name is its table row: sync_if(matrix, 2009, 3).
+sync_if, diach_if, sync_jdf, diach_jdf, sync_rdf, diach_rdf = INDICATORS.values()
 # The kinds a MetricRequest can name, which are the CLI's --kind choices.
 REQUEST_KINDS = ("garfield_if", *INDICATORS)
 KINDS = (*REQUEST_KINDS, "rowlands_jdf")
@@ -225,59 +252,6 @@ def garfield_if(matrix: PubCitMatrix, year: int) -> MetricValue:
     cells = Window(ROW, year, prior)
     numerator = matrix.window_sum(cells)
     return MetricValue(numerator, denominator, cells)
-
-
-def sync_if(matrix: PubCitMatrix, year: int, window: int | None, *, clip: bool = True) -> MetricValue:
-    """Synchronous impact factor: one citation year's citations to the
-    previous ``window`` years, divided by the articles of those years."""
-    return INDICATORS["sync_if"](matrix, year, window, clip=clip)
-
-
-def diach_if(
-    matrix: PubCitMatrix,
-    year: int,
-    window: int | None,
-    *,
-    shift: int = 1,
-    clip: bool = True,
-) -> MetricValue:
-    """Diachronous impact factor: citations accumulated by ``year``'s articles
-    over ``window`` citation years starting at ``year + shift``, divided by
-    the articles published in ``year``."""
-    return INDICATORS["diach_if"](matrix, year, window, shift, clip)
-
-
-def sync_jdf(
-    augmented: AugmentedMatrix, year: int, window: int | None, *, clip: bool = True
-) -> MetricValue:
-    """Synchronous journal diffusion factor: first-appearance journals in one
-    citation year's row (window includes the in-year cell) per article
-    published in the window."""
-    return INDICATORS["sync_jdf"](augmented, year, window, clip=clip)
-
-
-def sync_rdf(
-    augmented: AugmentedMatrix, year: int, window: int | None, *, clip: bool = True
-) -> MetricValue:
-    """Relative synchronous diffusion: first-appearance journals per citation
-    over the same row window as :func:`sync_jdf`."""
-    return INDICATORS["sync_rdf"](augmented, year, window, clip=clip)
-
-
-def diach_jdf(
-    augmented: AugmentedMatrix, year: int, window: int | None, *, clip: bool = True
-) -> MetricValue:
-    """Diachronous journal diffusion factor: journals newly citing ``year``'s
-    articles (earliest appearance per journal) per article published."""
-    return INDICATORS["diach_jdf"](augmented, year, window, clip=clip)
-
-
-def diach_rdf(
-    augmented: AugmentedMatrix, year: int, window: int | None, *, clip: bool = True
-) -> MetricValue:
-    """Relative diachronous diffusion: journals newly citing ``year``'s
-    articles per citation received in the window."""
-    return INDICATORS["diach_rdf"](augmented, year, window, clip=clip)
 
 
 def rowlands_jdf(
@@ -327,7 +301,7 @@ def evaluator(
     source = {None: matrix, SYNCHRONOUS: sync, DIACHRONOUS: diach}[indicator.variant]
     if source is None:
         raise ValueError(f"{kind} needs the {indicator.variant} augmented matrix")
-    return partial(indicator, source)
+    return lambda year, window, shift, clip: indicator(source, year, window, shift=shift, clip=clip)
 
 
 def evaluate(

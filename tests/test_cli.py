@@ -421,6 +421,9 @@ class TestRequestChecks:
             (["--window", "1_0"], "--window must be a positive integer or 'max', got '1_0'"),
             (["--window", "+3"], "--window must be a positive integer or 'max', got '+3'"),
             (["--window", " ٣ "], "--window must be a positive integer or 'max', got ' ٣ '"),
+            (["--window", " MAX "], "--window must be a positive integer or 'max', got ' MAX '"),
+            (["--window", "MAX"], "--window must be a positive integer or 'max', got 'MAX'"),
+            (["--window", "max "], "--window must be a positive integer or 'max', got 'max '"),
         ],
     )
     def test_a_bad_option_is_a_one_line_usage_error(self, options, message, tmp_path, capsys):

@@ -362,6 +362,25 @@ def test_an_alias_dict_has_no_lines_to_name(table, message):
         assert str(info.value) == message
 
 
+OVERSIZED = f'"{"x" * 140_000}"'
+
+
+@pytest.mark.parametrize(
+    "read, text, line",
+    [
+        (_pubs, f"year,count\n2004,1\n{OVERSIZED},1\n", 3),
+        (_parsed, f"{H4}a1,2004,{OVERSIZED},2005\n", 2),
+        (_indexed, f"{H4}a1,2004,Lancet,2005\n\na1,2004,{OVERSIZED},2005\n", 4),
+        (_indexed, f"{OVERSIZED},cited_pub_year,citing_journal,citing_year\n", 1),
+        (_aliases, f"raw,canonical\n{OVERSIZED},lancet\n", 2),
+    ],
+    ids=["parse_publications", "parse_citations", "index_citations", "index_citations header", "load_alias_table"],
+)
+def test_an_oversized_field_is_a_parse_error_at_its_line(read, text, line):
+    err = _refusal(read, text)
+    assert (str(err), err.line, err.column) == (f"line {line}: field larger than field limit (131072)", line, None)
+
+
 class TestAcceptedForms:
     """A byte-order mark, header case and padding, padded cells, blank rows
     and CRLF line ends are accepted by every reader alike."""

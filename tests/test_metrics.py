@@ -3,10 +3,12 @@ from fractions import Fraction
 
 import pytest
 
+from citemetrics import metrics
 from citemetrics.errors import UndefinedMetricError
 from citemetrics.ingest import PublicationLedger
 from citemetrics.matrix import COLUMN, ROW, year_range
 from citemetrics.metrics import (
+    INDICATORS,
     MetricRequest,
     _line_window,
     diach_if,
@@ -394,6 +396,22 @@ class TestEvaluate:
         first = evaluate(request, mjm.matrix, mjm.sync, mjm.diach)
         second = evaluate(request, mjm.matrix, mjm.sync, mjm.diach)
         assert first == second
+
+
+class TestIndicatorNames:
+    @pytest.mark.parametrize("name", ["sync_if", "diach_if", "sync_jdf", "diach_jdf", "sync_rdf", "diach_rdf"])
+    def test_each_name_is_its_table_row(self, name):
+        assert getattr(metrics, name) is INDICATORS[name]
+        assert INDICATORS[name].__name__ == name
+
+    @pytest.mark.parametrize("extra", [(1,), (1, True)], ids=["shift", "shift and clip"])
+    def test_shift_and_clip_are_keyword_only(self, mjm, extra):
+        with pytest.raises(TypeError):
+            diach_if(mjm.matrix, 2006, 2, *extra)
+
+    def test_a_row_with_a_fixed_offset_ignores_shift(self, mjm):
+        assert sync_if(mjm.matrix, 2009, 3, shift=4) == sync_if(mjm.matrix, 2009, 3)
+        assert sync_rdf(mjm.sync, 2006, 3, shift=4) == sync_rdf(mjm.sync, 2006, 3)
 
 
 def test_random_matrices_keep_rdf_in_bounds():
