@@ -17,12 +17,7 @@ import json
 import sys
 from contextlib import contextmanager
 
-from .errors import (
-    AliasTableError,
-    FixtureError,
-    ParseError,
-    UndefinedMetricError,
-)
+from .errors import FixtureError, ParseError, UndefinedMetricError
 from .fixture import _UNIQUE_BLOCKS, load_fixture, save_fixture
 from .ingest import index_citations, load_alias_table, parse_publications
 from .matrix import DIACHRONOUS, SYNCHRONOUS, augment, matrix_from_counts
@@ -113,15 +108,13 @@ def _fault_line(path: str) -> str:
 def _read_csv(path: str, parse):
     """Run one ingest parser over a CSV file. Its refusals, bytes that are
     not UTF-8 included, name the file, and the line where one is known."""
-    error = ParseError
     with open(path, newline="", encoding="utf-8") as fh:
         try:
             return parse(fh)
-        except (ParseError, AliasTableError) as exc:
-            error, reason = type(exc), str(exc)
+        except ParseError as exc:
+            raise type(exc)(f"{path}: {exc}") from None
         except UnicodeDecodeError as exc:
-            reason = f"{_fault_line(path)}not valid UTF-8 ({exc.reason})"
-    raise error(f"{path}: {reason}")
+            raise ParseError(f"{path}: {_fault_line(path)}not valid UTF-8 ({exc.reason})") from None
 
 
 def cmd_ingest(args) -> int:
@@ -130,7 +123,7 @@ def cmd_ingest(args) -> int:
     index = _read_csv(args.cites, lambda fh: index_citations(fh, alias_table))
 
     if ledger.years is None:
-        raise ParseError("publications file contains no data rows")
+        raise ParseError(f"{args.pubs}: publications file contains no data rows")
     pub_span = ledger.years
     cite_span = index.cite_years or pub_span
 
@@ -262,7 +255,7 @@ def main(argv=None) -> int:
             return int(exc.code or 0)
         try:
             return args.func(args)
-        except (ParseError, AliasTableError) as exc:
+        except (ParseError, OSError) as exc:
             print(f"citemetrics: error: {exc}", file=sys.stderr)
             return EXIT_USAGE
         except UndefinedMetricError as exc:
@@ -271,9 +264,6 @@ def main(argv=None) -> int:
         except FixtureError as exc:
             print(f"citemetrics: bad fixture: {exc}", file=sys.stderr)
             return EXIT_FIXTURE
-        except OSError as exc:
-            print(f"citemetrics: error: {exc}", file=sys.stderr)
-            return EXIT_USAGE
 
 
 if __name__ == "__main__":

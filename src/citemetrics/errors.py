@@ -24,8 +24,10 @@ class ParseError(CiteMetricsError):
         super().__init__(prefix + message)
 
 
-class AliasTableError(CiteMetricsError):
-    """The journal alias table is inconsistent (e.g. one alias, two targets)."""
+class AliasTableError(ParseError):
+    """The journal alias table is inconsistent (e.g. one alias, two targets).
+
+    A ``ParseError``, with ``.line`` set when the table was read from a file."""
 
 
 class FixtureError(CiteMetricsError):

@@ -277,15 +277,13 @@ def _normalize_alias_table(
     file's line for each raw spelling, which a refusal then names."""
     normalized: dict[str, str] = {}
     for raw, canonical in alias_table.items():
-        where = f"line {lines[raw]}: " if lines else ""
+        line = lines[raw] if lines else None
         key = normalize_journal_name(raw)
         value = normalize_journal_name(canonical)
         if not key or not value:
-            raise AliasTableError(f"{where}alias entry {raw!r} -> {canonical!r} normalizes to an empty name")
+            raise AliasTableError(f"alias entry {raw!r} -> {canonical!r} normalizes to an empty name", line=line)
         if normalized.get(key, value) != value:
-            raise AliasTableError(
-                f"{where}alias {key!r} maps to both {normalized[key]!r} and {value!r}"
-            )
+            raise AliasTableError(f"alias {key!r} maps to both {normalized[key]!r} and {value!r}", line=line)
         normalized[key] = value
     return normalized
 
@@ -301,7 +299,7 @@ def load_alias_table(stream: IO[str]) -> dict[str, str]:
         if not canonical:
             raise ParseError("canonical name is empty", line=line, column="canonical")
         if table.get(raw, canonical) != canonical:
-            raise AliasTableError(f"line {line}: alias {raw!r} maps to both {table[raw]!r} and {canonical!r}")
+            raise AliasTableError(f"alias {raw!r} maps to both {table[raw]!r} and {canonical!r}", line=line)
         table[raw] = canonical
         lines.setdefault(raw, line)
     return _normalize_alias_table(table, lines)

@@ -88,6 +88,26 @@ class TestIngest:
         assert code == 1
         assert "nope.csv" in capsys.readouterr().err
 
+    def test_a_missing_publications_file_is_one_error_line(self, corpus, monkeypatch, capsys):
+        _, cites, out = corpus
+        monkeypatch.chdir(cites.parent)
+        assert main(["ingest", "--pubs", "nope.csv", "--cites", str(cites), "--matrix", str(out)]) == 1
+        assert capsys.readouterr().err == "citemetrics: error: [Errno 2] No such file or directory: 'nope.csv'\n"
+
+    def test_empty_publications_file_names_its_file(self, corpus, capsys):
+        pubs, cites, out = corpus
+        pubs.write_text("year,count\n")
+        assert main(["ingest", "--pubs", str(pubs), "--cites", str(cites), "--matrix", str(out)]) == 1
+        assert capsys.readouterr().err == f"citemetrics: error: {pubs}: publications file contains no data rows\n"
+        assert not out.exists()
+
+    def test_a_malformed_citations_file_outranks_empty_publications(self, corpus, capsys):
+        pubs, cites, out = corpus
+        pubs.write_text("year,count\n")
+        cites.write_text("cited_article_id,cited_pub_year,citing_journal,citing_year\na1,2004,Lancet\n")
+        assert main(["ingest", "--pubs", str(pubs), "--cites", str(cites), "--matrix", str(out)]) == 1
+        assert capsys.readouterr().err == f"citemetrics: error: {cites}: line 2: expected 4 fields, got 3\n"
+
     def test_malformed_row_exits_1_with_line(self, corpus, capsys):
         pubs, cites, out = corpus
         cites.write_text(

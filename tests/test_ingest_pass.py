@@ -107,7 +107,7 @@ def reference_ingest(pubs, cites, aliases, out):
         events, removed = deduplicate_events(event_list)
         backdated = backdated_records(records)
         if ledger.years is None:
-            raise ParseError("publications file contains no data rows")
+            raise ParseError(f"{pubs}: publications file contains no data rows")
         years = [e.citing_year for e in events]
         cite_span = (min(years), max(years)) if years else ledger.years
         matrix = build_pc_matrix(events, ledger, ledger.years, cite_span)

@@ -362,6 +362,22 @@ def test_an_alias_dict_has_no_lines_to_name(table, message):
         assert str(info.value) == message
 
 
+def test_an_alias_refusal_is_a_parse_error_at_its_line():
+    assert issubclass(AliasTableError, ParseError)
+    err = _refusal(_aliases, "raw,canonical\nMJM,alpha\nmjm.,beta\n")
+    assert type(err) is AliasTableError
+    assert (err.line, err.column) == (3, None)
+
+
+def test_an_alias_dict_refusal_has_no_line():
+    table = {"MJM": "alpha", "mjm.": "beta"}
+    for apply in (lambda: normalize_journal_names([], table), lambda: index_citations(io.StringIO(H4), table)):
+        with pytest.raises(ParseError) as info:
+            apply()
+        assert type(info.value) is AliasTableError
+        assert info.value.line is None
+
+
 OVERSIZED = f'"{"x" * 140_000}"'
 
 

@@ -115,6 +115,15 @@ def test_window_sum_off_the_grid_raises(mjm, cells, window):
         mjm.matrix.window_sum(window, mjm.diach.unique_new)
 
 
+@pytest.mark.parametrize("line", [2009, 2006])
+def test_a_row_window_reaching_a_citation_year_past_the_publications_raises(mjm, line):
+    # 2010 is inside the citation span, so only the publication span refuses
+    # it; row 2006 also lies inside both spans.
+    window = Window(ROW, line, range(2010, 2008, -1))
+    with pytest.raises(ValueError, match=rf"^cell \({line}, 2010\) is outside the matrix"):
+        mjm.matrix.window_sum(window)
+
+
 class TestSynchronousScan:
     def test_journal_lands_on_newest_cited_year_in_its_row(self):
         # one journal cites 2004 and 2006 articles during 2007

@@ -137,6 +137,12 @@ class TestDiachIF:
         assert (v.numerator, v.denominator) == (118, 104)
         assert v.effective_window == ((2007, 2006), (2008, 2006))
 
+    def test_the_default_shift_is_one(self, mjm):
+        v = diach_if(mjm.matrix, 2006, 2)
+        assert v == diach_if(mjm.matrix, 2006, 2, shift=1)
+        assert v.numerator == 118
+        assert diach_if(mjm.matrix, 2006, 2, shift=2).numerator == 147
+
     def test_shift_zero_includes_publication_year(self, mjm):
         v = diach_if(mjm.matrix, 2006, 2, shift=0)
         assert (v.numerator, v.denominator) == (65, 104)
@@ -313,6 +319,16 @@ class TestRowlands:
         m, _, _ = build_all(events, PublicationLedger({2004: 2}), (2004, 2004), (2004, 2006))
         with pytest.raises(UndefinedMetricError):
             rowlands_jdf(events, m, (2010, 2012), (2010, 2012))
+
+    @pytest.mark.parametrize(
+        "pub_window, cite_window",
+        [((2010, 2011), (2005, 2006)), ((2005, 2006), (2011, 2012))],
+        ids=["outside the publication span", "outside the citation span"],
+    )
+    def test_a_block_outside_one_span_has_no_overlap(self, mjm, pub_window, cite_window):
+        with pytest.raises(UndefinedMetricError) as err:
+            rowlands_jdf([], mjm.matrix, pub_window, cite_window)
+        assert str(err.value) == "the requested block has no overlap with the matrix year spans"
 
     def test_citation_free_block_is_undefined(self):
         events = [ev("gut", 2005, 2004, "c1")]
