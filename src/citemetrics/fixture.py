@@ -1,15 +1,21 @@
 """Matrix fixture files.
 
-A fixture is a JSON object with exactly these fields:
+A fixture is a JSON object with exactly these fields, read in this order:
 
 * ``pub_years``, ``cite_years``: inclusive ``[first, last]`` spans;
-* ``publications``: per-year article counts covering the publication span
-  exactly, each keyed by its year written and read as ``str(year)``:
-  ``"2004"``, never ``"+2004"``, ``" 2004"``, ``"02004"`` or ``"2_004"``;
-* ``citations``: ``[citation_year, pub_year, count]`` triples for the
-  non-zero cells (a triple with count 0 is accepted and ignored);
+* ``publications``: per-year counts from 0 to 10**18 covering the
+  publication span exactly, each keyed by its year written and read as
+  ``str(year)``: ``"2004"``, never ``"+2004"``, ``" 2004"`` or ``"02004"``;
+* ``citations``: ``[citation_year, pub_year, count]`` triples, one per
+  non-zero cell (a triple with count 0 is accepted and ignored), with years
+  in their spans and counts from 0 to 10**18;
 * ``unique_new_sync`` / ``unique_new_diach`` (optional): triples of
-  first-appearance journal counts for each augmentation variant.
+  first-appearance journal counts for each augmentation variant, under the
+  citations rules, but never backdated (citation year before publication
+  year) and never above the citations at their cell.
+
+Each entry is checked against every rule of its block when it is read, so
+the first bad entry of a block names the refusal.
 
 Unknown fields are rejected rather than ignored, so a typo in a hand-edited
 fixture fails loudly instead of silently dropping data.
@@ -78,8 +84,11 @@ def _triples(
     cite_years: YearSpan,
     pub_years: YearSpan,
     *,
-    allow_backdated: bool,
+    citations: Mapping[Cell, int] | None = None,
 ) -> dict[Cell, int]:
+    """Read a triple block into a map of its non-zero cells. ``citations``
+    is None for the citations block; for a unique-new block it holds the
+    citation cells, and each entry is checked against them."""
     if not isinstance(value, list):
         raise FixtureError(f"{name} must be a list of [citation_year, pub_year, count] triples")
     # One tight pass, since a fixture holds a triple per non-zero cell and
@@ -108,25 +117,20 @@ def _triples(
             if count < 0:
                 raise FixtureError(f"{name} entry {entry!r}: negative count")
             zeros = True
-        if not allow_backdated and k < i:
-            raise FixtureError(
-                f"{name} entry {entry!r}: citation year precedes publication year"
-            )
+        if k < i and citations is not None:
+            raise FixtureError(f"{name} entry {entry!r}: citation year precedes publication year")
         cell = (k, i)
         if cell in out:
             raise FixtureError(f"{name} has two entries for cell ({k}, {i})")
+        if citations is None:
+            if count > MAX_COUNT:
+                raise FixtureError(f"{name} count at {cell} is above the limit of 10**18")
+        elif count > (cited := citations.get(cell, 0)):
+            raise FixtureError(f"{name} cell {list(cell)}: unique count {count} exceeds {cited} citations")
         out[cell] = count
     if zeros:
         return {cell: count for cell, count in out.items() if count}
     return out
-
-
-def _bounded(counts: Mapping[Any, int], name: str) -> None:
-    """Refuse a block holding a count above MAX_COUNT. One ``max`` over the
-    block, after its loop, costs a small share of the loop."""
-    if counts and max(counts.values()) > MAX_COUNT:
-        where = max(counts, key=counts.__getitem__)
-        raise FixtureError(f"{name} count at {where} is above the limit of 10**18")
 
 
 def load_document(doc: Any) -> MatrixFixture:
@@ -160,29 +164,23 @@ def load_document(doc: Any) -> MatrixFixture:
             raise FixtureError(f"publications key {key!r} is not a year")
         if not _is_int(value) or value < 0:
             raise FixtureError(f"publications[{key}] must be a non-negative integer")
+        if value > MAX_COUNT:
+            raise FixtureError(f"publications count at {year} is above the limit of 10**18")
         counts[year] = value
     # Checked from the span's ends, so a span of 10^11 years costs no more
     # than the keys the document holds.
     pub_lo, pub_hi = pub_years
     if len(counts) != pub_hi - pub_lo + 1 or not all(pub_lo <= year <= pub_hi for year in counts):
         raise FixtureError("publications must cover exactly the pub_years span")
-    _bounded(counts, "publications")
 
-    cells = _triples(doc["citations"], "citations", cite_years, pub_years, allow_backdated=True)
-    _bounded(cells, "citations")
+    cells = _triples(doc["citations"], "citations", cite_years, pub_years)
     matrix = PubCitMatrix(pub_years, cite_years, PublicationLedger(counts), cells)
 
     def augmented(variant: str) -> AugmentedMatrix | None:
         field = _UNIQUE_BLOCKS[variant]
         if field not in doc:
             return None
-        unique = _triples(doc[field], field, cite_years, pub_years, allow_backdated=False)
-        for cell, u in unique.items():
-            if u > cells.get(cell, 0):
-                raise FixtureError(
-                    f"{field} cell {list(cell)}: unique count {u} exceeds "
-                    f"{cells.get(cell, 0)} citations"
-                )
+        unique = _triples(doc[field], field, cite_years, pub_years, citations=cells)
         return AugmentedMatrix(variant, unique, matrix)
 
     return MatrixFixture(

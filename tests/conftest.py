@@ -2,11 +2,16 @@ import json
 import pathlib
 
 import pytest
+from hypothesis import settings
 
 from citemetrics import fixture
 from citemetrics.fixture import load_fixture
 
 DATA = pathlib.Path(__file__).parent / "data"
+
+# A long run of the property tests, for a CI step of its own:
+# pytest --hypothesis-profile=fuzz. The default profile keeps tier-1 in seconds.
+settings.register_profile("fuzz", max_examples=10_000, deadline=None)
 
 
 @pytest.fixture(scope="session")

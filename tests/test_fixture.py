@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from citemetrics import fixture
 from citemetrics.errors import FixtureError
 from citemetrics.fixture import load_document, load_fixture, save_fixture, to_document
-from citemetrics.ingest import PublicationLedger
+from citemetrics.ingest import MAX_COUNT, PublicationLedger
 
 from conftest import DATA
 from helpers import build_all, ev
@@ -423,6 +423,135 @@ def test_first_bad_entry_decides_the_message():
     doc["citations"] += [[2005, 2004, 9], [2005, 2004, -1]]
     with pytest.raises(FixtureError, match="two entries for cell"):
         load_document(doc)
+
+
+_MJM = (DATA / "mjm_fixture.json").read_text()
+# The faults each block can hold, by the rule an entry breaks.
+_FAULTS = {
+    "citations": ("type", "bool", "span", "negative", "duplicate", "bound"),
+    "unique_new_sync": ("type", "bool", "span", "negative", "duplicate", "backdated", "bound"),
+    "unique_new_diach": ("type", "bool", "span", "negative", "duplicate", "backdated", "bound"),
+}
+
+
+def _bad_entry(doc, field, position, fault, source, form):
+    """Entry ``position`` of block ``field`` with ``fault`` put in it. A
+    duplicate repeats the cell of entry ``source``; ``form`` picks one of
+    the wrong types."""
+    k, i, n = doc[field][position]
+    if fault == "type":
+        return ([k, i, float(n)], [k, i, str(n)], [k, i], None, (k, i, n))[form]
+    if fault == "bool":
+        return [k, i, True]
+    if fault == "span":
+        return [doc["cite_years"][1] + 1, i, n]
+    if fault == "negative":
+        return [k, i, -1 - n]
+    if fault == "duplicate":
+        return [*doc[field][source][:2], n]
+    if fault == "backdated":
+        return [doc["pub_years"][0], doc["pub_years"][0] + 1, n]
+    if field == "citations":  # bound
+        return [k, i, MAX_COUNT + 1]
+    cited = {(k, i): n for k, i, n in doc["citations"]}
+    return [k, i, cited.get((k, i), 0) + 1]
+
+
+@given(st.data())
+def test_the_first_bad_entry_of_a_block_names_the_refusal(data):
+    """Two different faults in one block, at entries j < m: the refusal is
+    the one the fault at j gives alone, whichever rule each breaks."""
+    field = data.draw(st.sampled_from(sorted(_FAULTS)))
+    size = len(json.loads(_MJM)[field])
+    j = data.draw(st.integers(0, size - 2))
+    m = data.draw(st.integers(j + 1, size - 1))
+    # A duplicate repeats an entry before it that neither fault touches.
+    menu = [fault for fault in _FAULTS[field] if fault != "duplicate" or j > 0]
+    first = data.draw(st.sampled_from(menu))
+    menu = [fault for fault in _FAULTS[field] if fault != first and (fault != "duplicate" or m > 1)]
+    second = data.draw(st.sampled_from(menu))
+    form = data.draw(st.integers(0, 4))
+
+    def refusal(*faults):
+        doc = json.loads(_MJM)
+        for position, fault in faults:
+            source = min(q for q in range(position) if q != j) if fault == "duplicate" else None
+            doc[field][position] = _bad_entry(doc, field, position, fault, source, form)
+        with pytest.raises(FixtureError) as err:
+            load_document(doc)
+        return str(err.value)
+
+    refusal((m, second))  # the fault at m is a refusal on its own
+    assert refusal((j, first), (m, second)) == refusal((j, first))
+
+
+@pytest.mark.parametrize(
+    ("edits", "message"),
+    [
+        pytest.param(
+            [("citations", 0, [2004, 2004, 10**18 + 1]), ("citations", None, [2005, 2004, 37])],
+            "citations count at (2004, 2004) is above the limit of 10**18",
+            id="over-limit-then-duplicate",
+        ),
+        pytest.param(
+            [("citations", 0, [2004, 2004, 10**18 + 1]), ("citations", 3, [2006, 2004, 10**19])],
+            "citations count at (2004, 2004) is above the limit of 10**18",
+            id="two-over-limit",
+        ),
+        pytest.param(
+            [("unique_new_sync", 0, [2004, 2004, 10**6]), ("unique_new_sync", None, [2010, 2008, -1])],
+            "unique_new_sync cell [2004, 2004]: unique count 1000000 exceeds 8 citations",
+            id="exceeds-then-negative",
+        ),
+        pytest.param(
+            [("publications", "2004", 10**18 + 1), ("publications", "+2009", 1)],
+            "publications count at 2004 is above the limit of 10**18",
+            id="publication-over-limit-then-bad-key",
+        ),
+    ],
+)
+def test_of_several_faults_the_first_bad_entry_is_named(mjm_doc, edits, message):
+    for field, key, value in edits:
+        if key is None:
+            mjm_doc[field].append(value)
+        else:
+            mjm_doc[field][key] = value
+    with pytest.raises(FixtureError) as err:
+        load_document(mjm_doc)
+    assert str(err.value) == message
+
+
+# Values of a type that most places in a fixture refuse.
+_JUNK = st.one_of(
+    st.booleans(),
+    st.floats(),
+    st.none(),
+    st.text(max_size=3),
+    st.lists(st.integers(), max_size=4),
+    st.dictionaries(st.text(max_size=2), st.integers(), max_size=2),
+)
+
+
+def _slots(value):
+    """Each (container, key) pair inside a JSON-shaped value."""
+    if isinstance(value, (dict, list)):
+        for key, item in value.items() if isinstance(value, dict) else enumerate(value):
+            yield value, key
+            yield from _slots(item)
+
+
+@given(_documents(), st.lists(_JUNK, max_size=2), st.data())
+def test_any_document_loads_or_is_refused(doc, junk, data):
+    """load_document returns or raises FixtureError, never anything else,
+    even for values of the wrong type; what it returns round-trips."""
+    for value in junk:
+        container, key = data.draw(st.sampled_from(list(_slots(doc))))
+        container[key] = value
+    try:
+        fx = load_document(doc)
+    except FixtureError:
+        return
+    assert load_document(to_document(fx.matrix, fx.sync, fx.diach)) == fx
 
 
 def test_zero_count_triples_are_accepted_and_ignored():

@@ -318,6 +318,29 @@ class TestPublicationLedger:
         with pytest.raises(KeyError):
             ledger.total([2007])
 
+    def test_a_run_of_ledger_years_reads_no_count_after_the_first_total(self):
+        """Once the cumulative list is built, a run of ledger years, in
+        either direction and of any length, is two list reads."""
+
+        class Counting(dict):
+            reads = 0
+
+            def __getitem__(self, year):
+                self.reads += 1
+                return super().__getitem__(year)
+
+        plain = {2004: 1, 2005: 2, 2006: 4, 2007: 8}
+        counts = Counting(plain)
+        ledger = PublicationLedger(counts)
+        ledger.total(range(2005, 2006))
+        counts.reads = 0
+        for first in plain:
+            for last in plain:
+                step = 1 if first <= last else -1
+                years = range(first, last + step, step)
+                assert ledger.total(years) == sum(plain[year] for year in years)
+        assert counts.reads == 0
+
     def test_journal_identity_ignores_alias_set(self):
         assert JournalId("gut", frozenset({"Gut"})) == JournalId("gut", frozenset({"GUT."}))
         assert len({JournalId("gut", frozenset({"Gut"})), JournalId("gut")}) == 1

@@ -11,6 +11,7 @@ from citemetrics.matrix import (
     ROW,
     SYNCHRONOUS,
     AugmentedMatrix,
+    PubCitMatrix,
     Window,
     augment,
     augment_diachronous,
@@ -113,6 +114,28 @@ def test_window_sum_off_the_grid_raises(mjm, cells, window):
         mjm.matrix.window_sum(window)
     with pytest.raises(ValueError, match="outside the matrix"):
         mjm.matrix.window_sum(window, mjm.diach.unique_new)
+
+
+def test_a_window_inside_the_spans_checks_no_cell(mjm, monkeypatch):
+    """A window whose ends lie inside the spans, even on their edges and in
+    either direction, is summed without the cell check that names an
+    off-grid cell."""
+    checked = []
+    check = PubCitMatrix._check_cell
+
+    def counting(self, *cell):
+        checked.append(cell)
+        return check(self, *cell)
+
+    monkeypatch.setattr(PubCitMatrix, "_check_cell", counting)
+    matrix = mjm.matrix
+    spans = (ROW, matrix.cite_years, matrix.pub_years), (COLUMN, matrix.pub_years, matrix.cite_years)
+    for axis, lines, (lo, hi) in spans:
+        for line in lines:
+            for years in (range(lo, hi + 1), range(hi, lo - 1, -1), range(lo, lo + 1), range(hi, hi + 1)):
+                window = Window(axis, line, years)
+                assert matrix.window_sum(window) == sum(matrix.citations.get(cell, 0) for cell in window)
+    assert checked == []
 
 
 @pytest.mark.parametrize("line", [2009, 2006])
