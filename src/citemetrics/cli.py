@@ -136,7 +136,8 @@ def cmd_ingest(args) -> int:
     print(f"wrote {args.matrix}")
     print(f"citation rows parsed: {index.rows}")
     print(f"duplicate rows removed: {index.duplicates}")
-    print(f"events outside the matrix years (clipped): {matrix.n_clipped}")
+    clipped = sum(index.cell_counts.values()) - sum(matrix.citations.values())
+    print(f"events outside the matrix years (clipped): {clipped}")
     note = f"citations dated before publication (kept): {len(backdated)}"
     if backdated:
         lines = ", ".join(map(str, backdated[:20]))

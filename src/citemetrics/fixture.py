@@ -235,7 +235,8 @@ def load_fixture(path: str | Path) -> MatrixFixture:
     """Read and validate a fixture file.
 
     Beyond :func:`load_document`'s checks, a key repeated within one JSON
-    object is rejected rather than letting the last value win.
+    object is rejected rather than letting the last value win. Every
+    :class:`FixtureError` it raises starts with ``path``.
 
     The last fixture loaded is kept with the file's bytes, and a later call
     that reads the same bytes, from any path, returns that same object
@@ -249,18 +250,19 @@ def load_fixture(path: str | Path) -> MatrixFixture:
     if last is not None and last[0] == data:
         return last[1]
     _last = last = None  # free the previous fixture before building the next
-    # A text wrapper, as open() in text mode gives, so line endings and
-    # error positions read as they would from the file itself.
-    with io.TextIOWrapper(io.BytesIO(data), encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh, object_pairs_hook=_object_without_duplicates)
-        # ValueError covers JSONDecodeError, UnicodeDecodeError and an
-        # integer literal past Python's int-to-str digit limit.
-        except (ValueError, RecursionError) as exc:
-            raise FixtureError(f"{path}: not valid JSON ({exc})") from None
-        except FixtureError as exc:
-            raise FixtureError(f"{path}: {exc}") from None
-    fixture = load_document(doc)
+    try:
+        # A text wrapper, as open() in text mode gives, so line endings and
+        # error positions read as they would from the file itself.
+        with io.TextIOWrapper(io.BytesIO(data), encoding="utf-8") as fh:
+            try:
+                doc = json.load(fh, object_pairs_hook=_object_without_duplicates)
+            # ValueError covers JSONDecodeError, UnicodeDecodeError and an
+            # integer literal past Python's int-to-str digit limit.
+            except (ValueError, RecursionError) as exc:
+                raise FixtureError(f"not valid JSON ({exc})") from None
+        fixture = load_document(doc)
+    except FixtureError as exc:
+        raise FixtureError(f"{path}: {exc}") from None
     _last = (data, fixture)
     return fixture
 

@@ -184,9 +184,9 @@ def parse_publications(stream: IO[str]) -> PublicationLedger:
     """Parse a publications CSV.
 
     Two layouts are accepted, distinguished by the header row: aggregated
-    counts (``year,count``) or one row per article (``article_id,year``).
-    Years missing from the middle of the observed span get a zero count, so
-    the resulting ledger is always contiguous.
+    counts (``year,count``) or one row per article (``article_id,year``),
+    each year or article id at most once. Years missing from the middle of
+    the observed span get a zero count, so the ledger is always contiguous.
     """
     reader, header = _table(
         stream,
@@ -196,10 +196,14 @@ def parse_publications(stream: IO[str]) -> PublicationLedger:
     )
     per_article = header == PUBLICATIONS_ARTICLE_HEADER
     counts: dict[int, int] = {}
+    articles: set[str] = set()
     for line, cells in _rows(reader, 2):
         if per_article:
             if not cells[0]:
                 raise ParseError("article_id is empty", line=line, column="article_id")
+            if cells[0] in articles:
+                raise ParseError(f"duplicate article_id {cells[0]!r}", line=line, column="article_id")
+            articles.add(cells[0])
             year = _parse_year(cells[1], line=line, column="year")
             counts[year] = counts.get(year, 0) + 1
         else:

@@ -21,7 +21,7 @@ and the scans grow with the non-zero cells, not with the grid.
 from __future__ import annotations
 
 from collections import Counter, defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import chain, repeat, zip_longest
 from operator import itemgetter
 from typing import Iterable, Mapping
@@ -159,16 +159,13 @@ class PubCitMatrix:
     """Citation counts on a (citation year, publication year) grid.
 
     ``citations`` holds the non-zero cells of the grid only; every other
-    cell of the grid reads 0. ``n_clipped`` records how many source events
-    fell outside the grid during the build; it is bookkeeping, not data, and
-    is excluded from equality.
+    cell of the grid reads 0.
     """
 
     pub_years: YearSpan
     cite_years: YearSpan
     publications: PublicationLedger
     citations: Mapping[Cell, int]
-    n_clipped: int = field(default=0, compare=False)
 
     def _check_cell(self, citation_year: int, pub_year: int) -> Cell:
         (cite_lo, cite_hi), (pub_lo, pub_hi) = self.cite_years, self.pub_years
@@ -263,8 +260,8 @@ def build_pc_matrix(
     """Tally events onto the grid.
 
     Events whose years fall outside the grid are not an error; they are
-    dropped and counted in ``n_clipped``. The ledger must supply a count for
-    every publication year of the grid.
+    dropped, so ``len(events) - sum(matrix.citations.values())`` counts them.
+    The ledger must supply a count for every publication year of the grid.
     """
     counts = Counter((event.citing_year, event.cited_pub_year) for event in events)
     return matrix_from_counts(counts, ledger, pub_years, cite_years)
@@ -284,14 +281,8 @@ def matrix_from_counts(
         if year not in ledger.counts:
             raise ValueError(f"publication ledger has no count for {year}")
     (pub_lo, pub_hi), (cite_lo, cite_hi) = pub_years, cite_years
-    cells = {}
-    clipped = 0
-    for (k, i), n in counts.items():
-        if not (cite_lo <= k <= cite_hi and pub_lo <= i <= pub_hi):
-            clipped += n
-        elif n:
-            cells[k, i] = n
-    return PubCitMatrix(pub_years, cite_years, ledger, cells, n_clipped=clipped)
+    cells = {(k, i): n for (k, i), n in counts.items() if n and cite_lo <= k <= cite_hi and pub_lo <= i <= pub_hi}
+    return PubCitMatrix(pub_years, cite_years, ledger, cells)
 
 
 def _journals_per_cell(

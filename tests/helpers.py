@@ -9,9 +9,10 @@ from __future__ import annotations
 
 import random
 from decimal import ROUND_DOWN, ROUND_HALF_UP, Decimal, localcontext
-from fractions import Fraction
 
-from citemetrics.ingest import CitationEvent, JournalId, PublicationLedger
+from hypothesis import strategies as st
+
+from citemetrics.ingest import MAX_COUNT, CitationEvent, JournalId, PublicationLedger
 from citemetrics.matrix import (
     augment_diachronous,
     augment_synchronous,
@@ -66,6 +67,34 @@ def random_corpus(rng: random.Random, big: bool = False):
         )
     ledger = PublicationLedger({y: rng.randint(0, 40) for y in range(pub_lo, pub_hi + 1)})
     return events, ledger, (pub_lo, pub_hi), (cite_lo, cite_hi)
+
+
+@st.composite
+def loadable_documents(draw, years=st.integers(-99_999, 99_999)):
+    """Fixture documents that ``load_document`` accepts, their first
+    publication year drawn from ``years``: triples inside the spans, one per
+    cell, counts up to 10**18, and unique-new entries that are not backdated
+    and at most the citations at their cell."""
+    pub_lo = draw(years)
+    pub_years = [pub_lo, pub_lo + draw(st.integers(0, 3))]
+    cite_lo = pub_lo + draw(st.integers(-2, 2))
+    cite_years = [cite_lo, cite_lo + draw(st.integers(0, 3))]
+    count = st.integers(0, MAX_COUNT)
+    pubs = range(pub_years[0], pub_years[1] + 1)
+    cells = [(k, i) for k in range(cite_years[0], cite_years[1] + 1) for i in pubs]
+    citations = draw(st.dictionaries(st.sampled_from(cells), count, max_size=len(cells)))
+    doc = {
+        "pub_years": pub_years,
+        "cite_years": cite_years,
+        "publications": {str(y): draw(count) for y in pubs},
+        "citations": [[k, i, n] for (k, i), n in citations.items()],
+    }
+    forward = [(k, i) for k, i in cells if k >= i]
+    for name in ("unique_new_sync", "unique_new_diach"):
+        if forward and draw(st.booleans()):
+            chosen = draw(st.lists(st.sampled_from(forward), unique=True))
+            doc[name] = [[k, i, draw(st.integers(0, citations.get((k, i), 0)))] for k, i in chosen]
+    return doc
 
 
 def column_events(pub_year, rows):
@@ -123,7 +152,3 @@ def matches_printed(numerator: int, denominator: int, printed: str) -> bool:
         decimal_text(numerator, denominator, places, ROUND_HALF_UP),
         decimal_text(numerator, denominator, places, ROUND_DOWN),
     }
-
-
-def as_fraction(value) -> Fraction:
-    return Fraction(value.numerator, value.denominator)

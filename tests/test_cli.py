@@ -108,6 +108,15 @@ class TestIngest:
         assert main(["ingest", "--pubs", str(pubs), "--cites", str(cites), "--matrix", str(out)]) == 1
         assert capsys.readouterr().err == f"citemetrics: error: {cites}: line 2: expected 4 fields, got 3\n"
 
+    def test_a_repeated_article_id_exits_1_naming_file_line_and_column(self, corpus, capsys):
+        pubs, cites, out = corpus
+        pubs.write_text("article_id,year\np1,2004\np1,2004\np2,2005\np1,2005\n")
+        assert main(["ingest", "--pubs", str(pubs), "--cites", str(cites), "--matrix", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"citemetrics: error: {pubs}: line 3, column 'article_id': duplicate article_id 'p1'\n"
+        )
+        assert not out.exists()
+
     def test_malformed_row_exits_1_with_line(self, corpus, capsys):
         pubs, cites, out = corpus
         cites.write_text(
@@ -548,13 +557,14 @@ class TestCountLimit:
             captured = capsys.readouterr()
             assert captured.out == ""
             cell = tuple(mjm_doc["citations"][0][:2])
-            assert captured.err == f"citemetrics: bad fixture: citations count at {cell} is above the limit of 10**18\n"
+            assert captured.err == f"citemetrics: bad fixture: {fx}: citations count at {cell} is above the limit of 10**18\n"
 
     def test_a_publication_count_above_1e18_exits_3(self, tmp_path, mjm_doc, capsys):
         mjm_doc["publications"]["2005"] = 10**18 + 1
-        assert main(["report", "--matrix", self._write(tmp_path, json.dumps(mjm_doc))]) == 3
+        fx = self._write(tmp_path, json.dumps(mjm_doc))
+        assert main(["report", "--matrix", fx]) == 3
         assert capsys.readouterr().err == (
-            "citemetrics: bad fixture: publications count at 2005 is above the limit of 10**18\n"
+            f"citemetrics: bad fixture: {fx}: publications count at 2005 is above the limit of 10**18\n"
         )
 
     def test_counts_of_1e18_load_and_render(self, tmp_path, mjm_doc, capsys):

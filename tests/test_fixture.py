@@ -15,7 +15,7 @@ from citemetrics.fixture import load_document, load_fixture, save_fixture, to_do
 from citemetrics.ingest import MAX_COUNT, PublicationLedger
 
 from conftest import DATA
-from helpers import build_all, ev
+from helpers import build_all, ev, loadable_documents
 
 
 def _small_doc():
@@ -121,6 +121,16 @@ def _documents(draw):
 
 @given(_documents())
 def test_writer_matches_json_dumps_byte_for_byte(doc):
+    fh = io.StringIO()
+    fixture._write_document(fh, doc)
+    assert fh.getvalue() == json.dumps(doc, indent=2) + "\n"
+
+
+@given(loadable_documents())
+def test_a_loadable_document_loads_round_trips_and_is_written_as_json_dumps_renders_it(doc):
+    fx = load_document(doc)
+    assert fx.matrix.citations == {(k, i): n for k, i, n in doc["citations"] if n}
+    assert load_document(to_document(fx.matrix, fx.sync, fx.diach)) == fx
     fh = io.StringIO()
     fixture._write_document(fh, doc)
     assert fh.getvalue() == json.dumps(doc, indent=2) + "\n"
@@ -336,6 +346,40 @@ def test_a_failed_load_is_never_kept(tmp_path, decodes, bad):
     assert again == load_document(_small_doc())
     assert again is not first
     assert len(decodes) == 4  # the good file, the bad one twice, the good one again
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {**_small_doc(), "surprise": 1},
+        {**_small_doc(), "publications": {"+2004": 3, "2005": 2}},
+        {**_small_doc(), "citations": [[2005, 2004, 10**18 + 1]]},
+        {**_small_doc(), "unique_new_sync": [[2005, 2004, 3]]},
+        {**_small_doc(), "pub_years": [0, 10**11]},
+    ],
+    ids=["unknown field", "publications key", "count limit", "unique exceeds", "span coverage"],
+)
+def test_every_refusal_names_the_file(tmp_path, doc):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(FixtureError) as expected:
+        load_document(doc)
+    with pytest.raises(FixtureError) as err:
+        load_fixture(path)
+    assert str(err.value) == f"{path}: {expected.value}"
+
+
+def test_a_value_error_while_validating_is_not_a_json_error(tmp_path, monkeypatch):
+    path = tmp_path / "fx.json"
+    path.write_text(json.dumps(_small_doc()))
+
+    def failing(doc):
+        raise ValueError("not from the decoder")
+
+    monkeypatch.setattr(fixture, "_last", None)
+    monkeypatch.setattr(fixture, "load_document", failing)
+    with pytest.raises(ValueError, match="^not from the decoder$"):
+        load_fixture(path)
 
 
 def test_bundled_dataset_loads(mjm):

@@ -123,7 +123,7 @@ def reference_ingest(pubs, cites, aliases, out):
         f"wrote {out}\n"
         f"citation rows parsed: {len(records)}\n"
         f"duplicate rows removed: {removed}\n"
-        f"events outside the matrix years (clipped): {matrix.n_clipped}\n"
+        f"events outside the matrix years (clipped): {len(events) - sum(matrix.citations.values())}\n"
         f"citations dated before publication (kept): {len(backdated)}"
         + (f" [lines {lines}{more}]" if backdated else "")
         + "\n"

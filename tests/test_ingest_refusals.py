@@ -154,6 +154,14 @@ PUBLICATIONS = [
         2,
         "article_id",
     ),
+    # One row per article: a repeated id would count the article twice.
+    (
+        "duplicate article_id",
+        "article_id,year\np1,2004\np1,2004\np2,2005\np1,2005\n",
+        "line 3, column 'article_id': duplicate article_id 'p1'",
+        3,
+        "article_id",
+    ),
     # Which check fires first when a row breaks several.
     (
         "year before count",
@@ -174,6 +182,13 @@ PUBLICATIONS = [
         "article_id,year\n,20x4\n",
         "line 2, column 'article_id': article_id is empty",
         2,
+        "article_id",
+    ),
+    (
+        "duplicate article_id before year",
+        "article_id,year\n p1,2004\np1 ,20x4\n",
+        "line 3, column 'article_id': duplicate article_id 'p1'",
+        3,
         "article_id",
     ),
     ("width before cells", "article_id,year\n,20x4,\n", "line 2: expected 2 fields, got 3", 2, None),

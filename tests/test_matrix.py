@@ -36,7 +36,7 @@ def test_build_counts_cells():
     assert m.cit(2005, 2004) == 2
     assert m.cit(2006, 2005) == 1
     assert m.cit(2004, 2006) == 0
-    assert m.n_clipped == 0
+    assert len(events) - sum(m.citations.values()) == 0
 
 
 def test_every_cell_is_materialized():
@@ -54,7 +54,7 @@ def test_every_cell_is_materialized():
 def test_out_of_range_events_are_clipped_not_fatal():
     events = [ev("a", 2005, 2003, "c1"), ev("a", 2011, 2005, "c2"), ev("a", 2005, 2005, "c3")]
     m = build_pc_matrix(events, LEDGER_2004_2006, (2004, 2006), (2004, 2006))
-    assert m.n_clipped == 2
+    assert len(events) - sum(m.citations.values()) == 2
     assert m.cit(2005, 2005) == 1
 
 
@@ -321,6 +321,11 @@ def test_random_corpus_spans_hold_their_promises():
     for _ in range(50):
         events, ledger, pub_span, cite_span = random_corpus(rng)
         m, sync, diach = build_all(events, ledger, pub_span, cite_span)
-        in_grid = sum(1 for e in events if (e.citing_year, e.cited_pub_year) in m.citations)
-        assert in_grid + m.n_clipped == len(events)
-        assert sum(m.citations.values()) == in_grid
+        (pub_lo, pub_hi), (cite_lo, cite_hi) = pub_span, cite_span
+        in_grid = [
+            (e.citing_year, e.cited_pub_year)
+            for e in events
+            if cite_lo <= e.citing_year <= cite_hi and pub_lo <= e.cited_pub_year <= pub_hi
+        ]
+        assert set(m.citations) == set(in_grid)
+        assert sum(m.citations.values()) == len(in_grid)

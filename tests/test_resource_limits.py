@@ -147,7 +147,7 @@ def test_a_publication_span_of_1e11_years_is_rejected_in_one_line(tmp_path):
     for argv in (["metric", "--kind", "garfield_if", "--year", "0"], ["report"]):
         code, out, err, peak = run_limited(*argv, "--matrix", str(fx))
         assert (code, out) == (3, "")
-        assert err == ["citemetrics: bad fixture: publications must cover exactly the pub_years span"]
+        assert err == [f"citemetrics: bad fixture: {fx}: publications must cover exactly the pub_years span"]
         if peak is not None:
             assert peak < 100 * 1024
 
