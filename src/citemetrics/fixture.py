@@ -29,11 +29,11 @@ from __future__ import annotations
 import io
 import json
 import os
-import secrets
 from contextlib import suppress
 from dataclasses import dataclass
 from itertools import starmap
 from pathlib import Path
+from types import MappingProxyType
 from typing import Any, Mapping
 
 from .errors import FixtureError
@@ -137,7 +137,9 @@ def load_document(doc: Any) -> MatrixFixture:
     """Validate a parsed JSON document and build the matrices it describes.
 
     The matrices store the non-zero cells only, so two documents that differ
-    only in zero-count triples load equal.
+    only in zero-count triples load equal. Their maps, the citations, the
+    unique-new counts and the ledger's counts, are read-only views: writing
+    to one raises TypeError.
     """
     if not isinstance(doc, dict):
         raise FixtureError("fixture must be a JSON object")
@@ -174,14 +176,15 @@ def load_document(doc: Any) -> MatrixFixture:
         raise FixtureError("publications must cover exactly the pub_years span")
 
     cells = _triples(doc["citations"], "citations", cite_years, pub_years)
-    matrix = PubCitMatrix(pub_years, cite_years, PublicationLedger(counts), cells)
+    ledger = PublicationLedger(MappingProxyType(counts))
+    matrix = PubCitMatrix(pub_years, cite_years, ledger, MappingProxyType(cells))
 
     def augmented(variant: str) -> AugmentedMatrix | None:
         field = _UNIQUE_BLOCKS[variant]
         if field not in doc:
             return None
         unique = _triples(doc[field], field, cite_years, pub_years, citations=cells)
-        return AugmentedMatrix(variant, unique, matrix)
+        return AugmentedMatrix(variant, MappingProxyType(unique), matrix)
 
     return MatrixFixture(
         matrix=matrix,
@@ -240,8 +243,8 @@ def load_fixture(path: str | Path) -> MatrixFixture:
 
     The last fixture loaded is kept with the file's bytes, and a later call
     that reads the same bytes, from any path, returns that same object
-    without decoding them again. Callers share it, so they must treat its
-    maps as read-only, as every function in this package does.
+    without decoding them again. Callers share it, so its maps are
+    read-only (see :func:`load_document`).
     """
     global _last
     with open(path, "rb") as fh:  # open(), so an OSError names the path as given
@@ -304,7 +307,7 @@ def save_fixture(
     """
     doc = to_document(matrix, sync, diach)
     directory, name = os.path.split(os.fspath(path))
-    tmp = os.path.join(directory, f".{name}.{secrets.token_hex(8)}.tmp")
+    tmp = os.path.join(directory, f".{name}.{os.urandom(8).hex()}.tmp")
     # Mode 0o666 leaves the permissions to the umask, as open(path, "w") does.
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:

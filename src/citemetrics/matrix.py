@@ -16,13 +16,19 @@ scanned; any unique-new count there stays zero even if citations exist.
 
 Both cell maps are sparse: a cell that is not stored holds zero, so memory
 and the scans grow with the non-zero cells, not with the grid.
+
+Each map sums its windows from running totals along its lines, built the
+first time a window on that axis is summed and kept with the matrix that
+holds the map. So a cell map must not change after its first window sum.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from collections import Counter, defaultdict
 from dataclasses import dataclass
-from itertools import chain, repeat, zip_longest
+from functools import cached_property
+from itertools import accumulate, chain, repeat, zip_longest
 from operator import itemgetter
 from typing import Iterable, Mapping
 
@@ -56,9 +62,10 @@ class Window:
 
     A ``ROW`` window is citation year ``line`` read at the publication years
     ``years``; a ``COLUMN`` window is publication year ``line`` read at the
-    citation years ``years``. ``years`` is a range in reading order, so the
-    window costs the same whatever its length: its cells are made only as
-    they are read. It compares and hashes equal to the tuple of its cells.
+    citation years ``years``. ``years`` is a run of consecutive years in
+    reading order, a range of step 1 or -1, so the window costs the same
+    whatever its length: its cells are made only as they are read. It
+    compares and hashes equal to the tuple of its cells.
     """
 
     __slots__ = ("axis", "line", "years")
@@ -66,6 +73,8 @@ class Window:
     def __init__(self, axis: str, line: int, years: range):
         if axis not in (ROW, COLUMN):
             raise ValueError(f"unknown window axis {axis!r}")
+        if years.step not in (1, -1):
+            raise ValueError(f"window years {years!r} are not a run of consecutive years")
         self.axis, self.line, self.years = axis, line, years
 
     def __len__(self) -> int:
@@ -154,12 +163,50 @@ class YearRuns:
         return ", ".join(str(lo) if lo == hi else f"{lo}–{hi}" for lo, hi in ends)
 
 
+class _LineTotals:
+    """Running totals of one cell map along its lines, for window sums.
+
+    For each axis it keeps the map's keys in line order, ``sorted(cells)``
+    for rows and that list stable-sorted by publication year for columns,
+    and the running totals of their counts in that order, built the first
+    time a window on that axis is summed. A window is then two bisections
+    and one subtraction. Memory grows with the stored cells, not with the
+    spans.
+    """
+
+    __slots__ = ("cells", "axes")
+
+    # The order each axis bisects in: a row's cells by (citation year,
+    # publication year), a column's by (publication year, citation year).
+    _KEYS = {ROW: None, COLUMN: itemgetter(1, 0)}
+
+    def __init__(self, cells: Mapping[Cell, int]):
+        self.cells = cells
+        self.axes: dict[str, tuple[list[Cell], list[int]]] = {}
+
+    def sum(self, window: Window) -> int:
+        """The counts over a window that holds at least one cell."""
+        axis, years = window.axis, window.years
+        index = self.axes.get(axis)
+        if index is None:
+            keys = sorted(self.cells)
+            if axis == COLUMN:
+                keys.sort(key=itemgetter(1))
+            index = self.axes[axis] = keys, list(accumulate(map(self.cells.__getitem__, keys), initial=0))
+        keys, totals = index
+        first, last = (years[0], years[-1]) if years.step > 0 else (years[-1], years[0])
+        key = self._KEYS[axis]
+        lo = bisect_left(keys, (window.line, first), key=key)
+        return totals[bisect_right(keys, (window.line, last), lo, key=key)] - totals[lo]
+
+
 @dataclass(frozen=True)
 class PubCitMatrix:
     """Citation counts on a (citation year, publication year) grid.
 
     ``citations`` holds the non-zero cells of the grid only; every other
-    cell of the grid reads 0.
+    cell of the grid reads 0. It must not change after the first
+    :meth:`window_sum`.
     """
 
     pub_years: YearSpan
@@ -179,19 +226,24 @@ class PubCitMatrix:
     def cit(self, citation_year: int, pub_year: int) -> int:
         return self.citations.get(self._check_cell(citation_year, pub_year), 0)
 
-    def window_sum(self, window: Window, values: Mapping[Cell, int] | None = None) -> int:
-        """Sum ``values`` (by default the citations) over a :class:`Window`.
+    def window_sum(self, window: Window) -> int:
+        """Sum the citations over a :class:`Window`.
 
         Checking the window's two end cells against the spans bounds every
         cell between them: a window reaching off the grid raises ValueError,
-        like a single-cell read. A cell that ``values`` does not hold counts
-        as zero. The sum reads the smaller side: the window's own cells, or
-        the cells ``values`` stores, whichever are fewer. So a window far
-        longer than the data costs the stored cells, and the window is never
-        listed.
+        like a single-cell read. The sum is read from the running totals of
+        the citations along the window's axis, so it costs two bisections
+        however long the window, and the window is never listed.
         """
-        if values is None:
-            values = self.citations
+        return self._sum(window, self._citation_totals)
+
+    @cached_property
+    def _citation_totals(self) -> _LineTotals:
+        return _LineTotals(self.citations)
+
+    def _sum(self, window: Window, totals: _LineTotals) -> int:
+        """Sum one cell map of this grid, through its ``totals``, over a
+        window checked against the spans."""
         line, years = window.line, window.years
         if not years:
             return 0
@@ -202,13 +254,7 @@ class PubCitMatrix:
         if not (line_lo <= line <= line_hi and lo <= years[0] <= hi and lo <= years[-1] <= hi):
             self._check_cell(*window[0])  # one of the two raises, naming its cell
             self._check_cell(*window[-1])
-        # Slicing the years asks "more window cells than stored cells?"
-        # without len(), which a range past sys.maxsize years cannot give.
-        if not years[len(values):]:
-            return sum(map(values.get, window, repeat(0)))
-        if window.axis == ROW:
-            return sum(n for (k, i), n in values.items() if k == line and i in years)
-        return sum(n for (k, i), n in values.items() if i == line and k in years)
+        return totals.sum(window)
 
     def pub(self, year: int) -> int:
         lo, hi = self.pub_years
@@ -229,7 +275,8 @@ class PubCitMatrix:
 class AugmentedMatrix:
     """A matrix plus per-cell first-appearance journal counts for one variant.
 
-    ``unique_new`` holds the non-zero counts only, like ``base.citations``.
+    ``unique_new`` holds the non-zero counts only, like ``base.citations``,
+    and must not change after the first :meth:`window_sum`.
     """
 
     variant: str
@@ -242,6 +289,15 @@ class AugmentedMatrix:
 
     def unique(self, citation_year: int, pub_year: int) -> int:
         return self.unique_new.get(self.base._check_cell(citation_year, pub_year), 0)
+
+    def window_sum(self, window: Window) -> int:
+        """Sum the unique-new counts over a :class:`Window`, checked against
+        the spans as :meth:`PubCitMatrix.window_sum` checks it."""
+        return self.base._sum(window, self._unique_totals)
+
+    @cached_property
+    def _unique_totals(self) -> _LineTotals:
+        return _LineTotals(self.unique_new)
 
 
 def _check_span(span: YearSpan, what: str) -> YearSpan:

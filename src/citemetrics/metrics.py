@@ -183,7 +183,7 @@ class Indicator:
         ``offset`` is None, as for ``diach_if``."""
         if self.variant is not None and source.variant != self.variant:
             raise ValueError(f"this metric needs the {self.variant} augmentation, got {source.variant}")
-        matrix, values = (source, None) if self.variant is None else (source.base, source.unique_new)
+        matrix = source if self.variant is None else source.base
         if self.offset is None and shift < 0:
             raise ValueError("shift must be non-negative")
         offset = shift if self.offset is None else self.offset
@@ -199,7 +199,7 @@ class Indicator:
             _undefined(f"no citations were made in {year} within the window", [year])
         elif denominator == 0:
             _undefined(f"articles published in {year} received no citations in the window", [year])
-        return MetricValue(matrix.window_sum(cells, values), denominator, cells)
+        return MetricValue(source.window_sum(cells), denominator, cells)
 
 
 INDICATORS = {

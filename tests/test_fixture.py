@@ -3,6 +3,8 @@ import io
 import json
 import os
 import stat
+import subprocess
+import sys
 import weakref
 
 import pytest
@@ -141,6 +143,42 @@ def test_save_onto_a_directory_fails_without_a_stray_file(tmp_path, mjm):
     with pytest.raises(OSError):
         save_fixture(tmp_path / "fx.json", mjm.matrix)
     assert os.listdir(tmp_path) == ["fx.json"]
+
+
+def test_importing_the_commands_loads_no_secrets_module():
+    """save_fixture names its temporary file from os.urandom, so a command
+    pays for no secrets module and what it imports."""
+    code = "import sys, citemetrics.cli; print('secrets' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(fixture.__file__))}
+    proc = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert proc.stdout == "False\n"
+
+
+def test_a_loaded_fixture_is_read_only(tmp_path):
+    """Every load of the same bytes shares one fixture, so a write to any of
+    its maps is refused rather than seen by every later load. Matrices built
+    from events keep plain dicts."""
+    path = tmp_path / "fx.json"
+    path.write_text(json.dumps(_small_doc()))
+    for loaded in (load_document(_small_doc()), load_fixture(path)):
+        maps = (
+            loaded.matrix.citations,
+            loaded.sync.unique_new,
+            loaded.diach.unique_new,
+            loaded.matrix.publications.counts,
+        )
+        for cells in maps:
+            key = next(iter(cells))
+            with pytest.raises(TypeError):
+                cells[key] = 1
+            with pytest.raises(TypeError):
+                del cells[key]
+        assert loaded == load_document(_small_doc())
+    events = [ev("Gut", 2005, 2004)]
+    matrix, sync, diach = build_all(events, PublicationLedger({2004: 1}), (2004, 2004), (2004, 2005))
+    for cells in (matrix.citations, sync.unique_new, diach.unique_new):
+        assert type(cells) is dict
+
 
 def test_to_document_drops_zero_cells():
     matrix, sync, diach = build_all([], PublicationLedger({2004: 1}), (2004, 2004), (2004, 2004))

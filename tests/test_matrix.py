@@ -93,8 +93,8 @@ def test_window_sum_matches_cell_reads():
         windows += [Window(COLUMN, i, year_range(cite_span)) for i in year_range(pub_span)]
         for window in windows:
             assert matrix.window_sum(window) == sum(matrix.cit(*cell) for cell in window)
-            assert matrix.window_sum(window, sync.unique_new) == sum(sync.unique(*c) for c in window)
-            assert matrix.window_sum(window, diach.unique_new) == sum(diach.unique(*c) for c in window)
+            assert sync.window_sum(window) == sum(sync.unique(*c) for c in window)
+            assert diach.window_sum(window) == sum(diach.unique(*c) for c in window)
     assert matrix.window_sum(Window(ROW, cite_span[0], range(0))) == 0
 
 
@@ -113,7 +113,7 @@ def test_window_sum_off_the_grid_raises(mjm, cells, window):
     with pytest.raises(ValueError, match="outside the matrix"):
         mjm.matrix.window_sum(window)
     with pytest.raises(ValueError, match="outside the matrix"):
-        mjm.matrix.window_sum(window, mjm.diach.unique_new)
+        mjm.diach.window_sum(window)
 
 
 def test_a_window_inside_the_spans_checks_no_cell(mjm, monkeypatch):
