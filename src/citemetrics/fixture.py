@@ -37,13 +37,14 @@ from types import MappingProxyType
 from typing import Any, Mapping
 
 from .errors import FixtureError
-from .ingest import MAX_COUNT, PublicationLedger
 from .matrix import (
     DIACHRONOUS,
+    MAX_COUNT,
     SYNCHRONOUS,
     AugmentedMatrix,
     Cell,
     PubCitMatrix,
+    PublicationLedger,
     YearSpan,
     year_range,
 )

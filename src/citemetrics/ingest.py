@@ -14,6 +14,11 @@ journal would inflate every unique-journal indicator downstream, so names are
 normalized before any counting. Normalization is deliberately conservative
 (no fuzzy matching); genuinely different spellings of the same journal are
 reconciled through an explicit alias table supplied by the caller.
+
+The ledger (:class:`PublicationLedger`) and the count limit (``MAX_COUNT``)
+belong to the data model in :mod:`citemetrics.matrix`; they are imported
+here, so ``citemetrics.ingest.PublicationLedger`` still resolves. Only
+``citemetrics ingest`` loads this module; the other commands never do.
 """
 
 from __future__ import annotations
@@ -21,21 +26,15 @@ from __future__ import annotations
 import csv
 import string
 from dataclasses import dataclass, field
-from functools import cached_property
-from itertools import accumulate
 from typing import IO, Iterable, Iterator, Mapping
 
 from .errors import AliasTableError, ParseError
+from .matrix import MAX_COUNT, PublicationLedger
 
 PUBLICATIONS_COUNT_HEADER = ("year", "count")
 PUBLICATIONS_ARTICLE_HEADER = ("article_id", "year")
 CITATIONS_HEADER = ("cited_article_id", "cited_pub_year", "citing_journal", "citing_year")
 CITATIONS_HEADER_WITH_ID = CITATIONS_HEADER + ("citing_article_id",)
-
-# The largest publication or citation count a fixture may hold. A rendering
-# at the highest precision then stays far inside Python's limit on the
-# digits of an int-to-str conversion.
-MAX_COUNT = 10**18
 
 # Stripped from the tail of a normalized name. ASCII only, on purpose:
 # terminal "." and ";" are data-entry noise, exotic punctuation is not ours
@@ -76,52 +75,6 @@ class CitationEvent:
     citing_journal: JournalId
     citing_year: int
     citing_article_id: str | None = None
-
-
-@dataclass(frozen=True)
-class PublicationLedger:
-    """Article counts per publication year over a contiguous year window."""
-
-    counts: Mapping[int, int]
-
-    def __post_init__(self):
-        years = sorted(self.counts)
-        if years and years != list(range(years[0], years[-1] + 1)):
-            raise ValueError("publication years must form a contiguous window")
-        for year, n in self.counts.items():
-            if n < 0:
-                raise ValueError(f"negative publication count for {year}")
-
-    @property
-    def years(self) -> tuple[int, int] | None:
-        """Inclusive (first, last) publication years, or None when empty."""
-        if not self.counts:
-            return None
-        return (min(self.counts), max(self.counts))
-
-    def count(self, year: int) -> int:
-        return self.counts[year]
-
-    def total(self, years: Iterable[int]) -> int:
-        """Articles published over ``years``, each of which must be in the
-        ledger (KeyError otherwise). A range of consecutive ledger years is
-        read from a cumulative list built on first use, so it costs two
-        reads however long the window."""
-        if isinstance(years, range) and years and years.step in (1, -1):
-            first, cumulative = self._cumulative
-            lo, hi = years[0] - first, years[-1] - first
-            if lo > hi:
-                lo, hi = hi, lo
-            if 0 <= lo and hi < len(cumulative) - 1:
-                return cumulative[hi + 1] - cumulative[lo]
-        return sum(map(self.counts.__getitem__, years))
-
-    @cached_property
-    def _cumulative(self) -> tuple[int, list[int]]:
-        """The first year and the running totals: entry j sums the j years
-        from the first."""
-        first, last = self.years or (0, -1)
-        return first, list(accumulate(map(self.counts.__getitem__, range(first, last + 1)), initial=0))
 
 
 def _table(stream: IO[str], what: str, layouts: tuple[tuple[str, ...], ...], expected: str):

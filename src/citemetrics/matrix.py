@@ -1,5 +1,10 @@
 """Publication-citation matrices and their unique-new-journal augmentations.
 
+The data model every command reads: the publication ledger
+(:class:`PublicationLedger`), the limit on any count (``MAX_COUNT``), the
+matrix and its two augmentations. Events (``citemetrics.ingest``) appear
+here only in annotations, so loading a matrix never loads the CSV side.
+
 A matrix cell (k, i) counts citations made in year k to articles published in
 year i. The two augmentations annotate each cell with how many *journals*
 appear there for the first time, under two different reading orders:
@@ -30,9 +35,15 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate, chain, repeat, zip_longest
 from operator import itemgetter
-from typing import Iterable, Mapping
+from typing import TYPE_CHECKING, Iterable, Mapping
 
-from .ingest import CitationEvent, JournalId, PublicationLedger
+if TYPE_CHECKING:
+    from .ingest import CitationEvent, JournalId
+
+# The largest publication or citation count a fixture may hold. A rendering
+# at the highest precision then stays far inside Python's limit on the
+# digits of an int-to-str conversion.
+MAX_COUNT = 10**18
 
 SYNCHRONOUS = "synchronous"
 DIACHRONOUS = "diachronous"
@@ -198,6 +209,52 @@ class _LineTotals:
         key = self._KEYS[axis]
         lo = bisect_left(keys, (window.line, first), key=key)
         return totals[bisect_right(keys, (window.line, last), lo, key=key)] - totals[lo]
+
+
+@dataclass(frozen=True)
+class PublicationLedger:
+    """Article counts per publication year over a contiguous year window."""
+
+    counts: Mapping[int, int]
+
+    def __post_init__(self):
+        years = sorted(self.counts)
+        if years and years != list(range(years[0], years[-1] + 1)):
+            raise ValueError("publication years must form a contiguous window")
+        for year, n in self.counts.items():
+            if n < 0:
+                raise ValueError(f"negative publication count for {year}")
+
+    @property
+    def years(self) -> tuple[int, int] | None:
+        """Inclusive (first, last) publication years, or None when empty."""
+        if not self.counts:
+            return None
+        return (min(self.counts), max(self.counts))
+
+    def count(self, year: int) -> int:
+        return self.counts[year]
+
+    def total(self, years: Iterable[int]) -> int:
+        """Articles published over ``years``, each of which must be in the
+        ledger (KeyError otherwise). A range of consecutive ledger years is
+        read from a cumulative list built on first use, so it costs two
+        reads however long the window."""
+        if isinstance(years, range) and years and years.step in (1, -1):
+            first, cumulative = self._cumulative
+            lo, hi = years[0] - first, years[-1] - first
+            if lo > hi:
+                lo, hi = hi, lo
+            if 0 <= lo and hi < len(cumulative) - 1:
+                return cumulative[hi + 1] - cumulative[lo]
+        return sum(map(self.counts.__getitem__, years))
+
+    @cached_property
+    def _cumulative(self) -> tuple[int, list[int]]:
+        """The first year and the running totals: entry j sums the j years
+        from the first."""
+        first, last = self.years or (0, -1)
+        return first, list(accumulate(map(self.counts.__getitem__, range(first, last + 1)), initial=0))
 
 
 @dataclass(frozen=True)

@@ -25,10 +25,9 @@ from __future__ import annotations
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, NoReturn
+from typing import TYPE_CHECKING, Iterable, NoReturn
 
 from .errors import UndefinedMetricError
-from .ingest import CitationEvent
 from .matrix import (
     COLUMN,
     DIACHRONOUS,
@@ -43,6 +42,10 @@ from .matrix import (
     distinct_journals_block,
     year_range,
 )
+
+if TYPE_CHECKING:
+    from .ingest import CitationEvent
+
 
 @dataclass(frozen=True)
 class MetricValue:

@@ -154,6 +154,19 @@ def test_importing_the_commands_loads_no_secrets_module():
     assert proc.stdout == "False\n"
 
 
+def test_importing_the_commands_loads_no_ingest_side():
+    """The ledger lives in the matrix module, ingest imports it from there,
+    and the package exports load lazily: a metric or report command pays for
+    no CSV parsing, no ingest module and no statistics."""
+    code = (
+        "import sys, citemetrics.cli; "
+        "print(sorted(m for m in ('csv', 'string', 'citemetrics.ingest', 'citemetrics.stats') if m in sys.modules))"
+    )
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(fixture.__file__))}
+    proc = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert proc.stdout == "[]\n"
+
+
 def test_a_loaded_fixture_is_read_only(tmp_path):
     """Every load of the same bytes shares one fixture, so a write to any of
     its maps is refused rather than seen by every later load. Matrices built
