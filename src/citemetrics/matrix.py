@@ -177,38 +177,54 @@ class YearRuns:
 class _LineTotals:
     """Running totals of one cell map along its lines, for window sums.
 
-    For each axis it keeps the map's keys in line order, ``sorted(cells)``
-    for rows and that list stable-sorted by publication year for columns,
-    and the running totals of their counts in that order, built the first
-    time a window on that axis is summed. A window is then two bisections
-    and one subtraction. Memory grows with the stored cells, not with the
-    spans.
+    The first time a window on an axis is summed, it puts the map's keys in
+    line order, ``sorted(cells)`` for rows and that list stable-sorted by
+    publication year for columns. In that order it keeps the running totals
+    of their counts and each key's year along its line, with each line's
+    ``(start, end)`` slice of both. A window is then one lookup of its line,
+    two bisections inside that line's slice and one subtraction; a line with
+    no stored cell sums to 0. Memory grows with the stored cells, not with
+    the spans.
     """
 
     __slots__ = ("cells", "axes")
 
-    # The order each axis bisects in: a row's cells by (citation year,
-    # publication year), a column's by (publication year, citation year).
-    _KEYS = {ROW: None, COLUMN: itemgetter(1, 0)}
-
     def __init__(self, cells: Mapping[Cell, int]):
         self.cells = cells
-        self.axes: dict[str, tuple[list[Cell], list[int]]] = {}
+        self.axes: dict[str, tuple[dict[int, tuple[int, int]], list[int], list[int]]] = {}
 
     def sum(self, window: Window) -> int:
         """The counts over a window that holds at least one cell."""
         axis, years = window.axis, window.years
         index = self.axes.get(axis)
         if index is None:
-            keys = sorted(self.cells)
-            if axis == COLUMN:
-                keys.sort(key=itemgetter(1))
-            index = self.axes[axis] = keys, list(accumulate(map(self.cells.__getitem__, keys), initial=0))
-        keys, totals = index
+            index = self.axes[axis] = self._index(axis)
+        bounds, along, totals = index
+        bound = bounds.get(window.line)
+        if bound is None:
+            return 0
+        start, end = bound
         first, last = (years[0], years[-1]) if years.step > 0 else (years[-1], years[0])
-        key = self._KEYS[axis]
-        lo = bisect_left(keys, (window.line, first), key=key)
-        return totals[bisect_right(keys, (window.line, last), lo, key=key)] - totals[lo]
+        lo = bisect_left(along, first, start, end)
+        return totals[bisect_right(along, last, lo, end)] - totals[lo]
+
+    def _index(self, axis: str) -> tuple[dict[int, tuple[int, int]], list[int], list[int]]:
+        """Each line's ``(start, end)`` slice, each key's year along its
+        line and the running totals, over the keys in ``axis`` line order."""
+        keys = sorted(self.cells)
+        line_of, year_of = itemgetter(0), itemgetter(1)
+        if axis == COLUMN:
+            line_of, year_of = year_of, line_of
+            keys.sort(key=line_of)
+        # Every single-shot command builds this, so a line's end is found by
+        # bisection: stepping through each line's keys costs twice as much.
+        lines = list(map(line_of, keys))
+        bounds, start = {}, 0
+        while start < len(lines):
+            line = lines[start]
+            end = bisect_right(lines, line, start)
+            bounds[line], start = (start, end), end
+        return bounds, list(map(year_of, keys)), list(accumulate(map(self.cells.__getitem__, keys), initial=0))
 
 
 @dataclass(frozen=True)
@@ -289,8 +305,9 @@ class PubCitMatrix:
         Checking the window's two end cells against the spans bounds every
         cell between them: a window reaching off the grid raises ValueError,
         like a single-cell read. The sum is read from the running totals of
-        the citations along the window's axis, so it costs two bisections
-        however long the window, and the window is never listed.
+        the citations along the window's axis, so it costs a lookup of its
+        line and two bisections among that line's stored cells however long
+        the window, and the window is never listed.
         """
         return self._sum(window, self._citation_totals)
 

@@ -7,6 +7,7 @@ the indicators once did, and sums cell by cell.
 """
 
 import random
+from collections import Counter
 from collections.abc import Mapping
 
 import pytest
@@ -26,6 +27,7 @@ from citemetrics.matrix import (
     YearRuns,
     augment,
     matrix_from_counts,
+    year_range,
 )
 from citemetrics.metrics import MetricRequest, _line_window, evaluate, sync_if
 
@@ -280,16 +282,29 @@ def summed_maps(draw):
     """A matrix and both augmentations whose cell maps hold any counts on
     the grid, zeros among them, each map in a drawn insertion order as
     ingest's tallies are: only the sums are under test, so the unique-new
-    maps need not agree with the citations."""
+    maps need not agree with the citations.
+
+    Half the draws are narrow: publication spans of up to 13 years,
+    citation spans of up to 20 and about 40 cells a map at most. The other
+    half are wide: publication spans of up to 61 years, citation spans of up
+    to 63, either as short as one year, and about 200 cells a map at most,
+    so that a line can hold dozens of cells and its bisections go several
+    levels deep. Each map is one drawn byte per grid cell: a cell is stored
+    when its byte is below a drawn density, with the byte's last digit as
+    its count, and the cells go in by byte."""
+    wide = draw(st.booleans())
     pub_lo = draw(st.integers(1990, 2000))
-    pub_hi = pub_lo + draw(st.integers(0, 12))
-    cite_lo = pub_lo + draw(st.integers(-2, 4))
-    cite_hi = max(cite_lo, pub_hi) + draw(st.integers(0, 5))
-    cells = st.tuples(st.integers(cite_lo, cite_hi), st.integers(pub_lo, pub_hi))
+    pub_hi = pub_lo + draw(st.integers(0, 60 if wide else 12))
+    pub_width = pub_hi - pub_lo
+    cite_lo = pub_lo + draw(st.integers(-2, pub_width + 4 if wide else 4))
+    cite_hi = max(cite_lo, pub_hi) + draw(st.integers(0, 60 - pub_width if wide else 5))
+    grid = [(k, i) for k in range(cite_lo, cite_hi + 1) for i in range(pub_lo, pub_hi + 1)]
+    most = 200 if wide else 40
 
     def cell_map():
-        items = draw(st.dictionaries(cells, st.integers(0, 9), max_size=40)).items()
-        return dict(draw(st.permutations(list(items))))
+        density = draw(st.integers(0, min(256, 256 * most // len(grid))))
+        drawn = draw(st.binary(min_size=len(grid), max_size=len(grid)))
+        return {cell: byte % 10 for byte, cell in sorted(zip(drawn, grid)) if byte < density}
 
     ledger = PublicationLedger(dict.fromkeys(range(pub_lo, pub_hi + 1), 1))
     matrix = PubCitMatrix((pub_lo, pub_hi), (cite_lo, cite_hi), ledger, cell_map())
@@ -315,21 +330,84 @@ def test_every_window_sums_as_its_cells_read_one_by_one(maps, data):
                     assert source.window_sum(window) == sum(values.get(cell, 0) for cell in window)
 
 
+# The stored cells of the line-index examples, as (line, year along the
+# line). Lines 2002, 2004 and 2005 hold cells; 2000 and 2008, the ends of
+# the line span, and 2003, between two stored lines, hold none.
+LINE_CELLS = {
+    (2002, 2001): 1,
+    (2002, 2004): 2,
+    (2002, 2005): 4,
+    (2004, 2000): 8,
+    (2004, 2003): 16,
+    (2004, 2006): 32,
+    (2005, 2002): 64,
+}
+
+
+def line_matrix(axis, stored):
+    """A matrix whose lines along ``axis`` run 2000-2008 and whose years
+    along each line run 2000-2006, holding ``stored`` (line, year) counts."""
+    cells = {(line, year) if axis == ROW else (year, line): n for (line, year), n in stored.items()}
+    lines, years = (2000, 2008), (2000, 2006)
+    pub_years, cite_years = (years, lines) if axis == ROW else (lines, years)
+    ledger = PublicationLedger(dict.fromkeys(year_range(pub_years), 1))
+    return PubCitMatrix(pub_years, cite_years, ledger, cells)
+
+
+@pytest.mark.parametrize("axis", [ROW, COLUMN])
+@pytest.mark.parametrize(
+    "line, first, last, total",
+    [
+        (2000, 2000, 2006, 0),  # no stored cell, at the start of the line span
+        (2008, 2000, 2006, 0),  # no stored cell, at the end of the line span
+        (2003, 2000, 2006, 0),  # no stored cell, between two stored lines
+        (2002, 2002, 2003, 0),  # between the stored years 2001 and 2004
+        (2002, 2000, 2000, 0),  # before the line's first stored year
+        (2002, 2006, 2006, 0),  # past its last, the next line's cells follow
+        (2002, 2001, 2001, 1),  # on the line's first stored year
+        (2002, 2001, 2003, 1),  # starts on its first stored year
+        (2002, 2005, 2005, 4),  # on its last stored year
+        (2002, 2003, 2005, 6),  # ends on its last stored year
+        (2002, 2004, 2006, 6),  # runs past its last stored year
+        (2002, 2001, 2005, 7),  # from its first to its last stored year
+        (2004, 2000, 2000, 8),  # on its first stored year, after a stored line
+        (2004, 2000, 2002, 8),
+        (2004, 2006, 2006, 32),  # on its last stored year, before a stored line
+        (2004, 2004, 2006, 32),
+        (2004, 2001, 2005, 16),
+        (2004, 2000, 2006, 56),
+        (2005, 2002, 2002, 64),  # the one stored cell of the last stored line
+        (2005, 2000, 2006, 64),
+    ],
+)
+def test_a_window_sums_only_the_stored_cells_of_its_line(axis, line, first, last, total):
+    """Each window, both ways round, over the stored cells and over an
+    empty map."""
+    for stored, want in ((LINE_CELLS, total), ({}, 0)):
+        matrix = line_matrix(axis, stored)
+        for years in (range(first, last + 1), range(last, first - 1, -1)):
+            window = Window(axis, line, years)
+            assert matrix.window_sum(window) == sum(matrix.citations.get(cell, 0) for cell in window) == want
+
+
 def test_after_the_first_sum_on_an_axis_no_window_reads_the_map(mjm):
-    """The running totals of an axis are built from the map once; every
-    later window on that axis, of any line, length or direction, reads
-    none of the map's entries."""
+    """The running totals of an axis are built from the map once, in one
+    pass over its keys that reads each entry at most once; every later
+    window on that axis, of any line, length or direction, reads none of
+    the map's entries."""
 
     class Counting(Mapping):
         def __init__(self, cells):
-            self.cells, self.reads = cells, 0
+            self.cells, self.reads, self.scans, self.got = cells, 0, 0, Counter()
 
         def __getitem__(self, cell):
             self.reads += 1
+            self.got[cell] += 1
             return self.cells[cell]
 
         def __iter__(self):
             self.reads += 1
+            self.scans += 1
             return iter(self.cells)
 
         def __len__(self):
@@ -346,8 +424,10 @@ def test_after_the_first_sum_on_an_axis_no_window_reads_the_map(mjm):
             (ROW, matrix.cite_years, matrix.pub_years),
             (COLUMN, matrix.pub_years, matrix.cite_years),
         ):
+            counting.scans, counting.got = 0, Counter()
             source.window_sum(Window(axis, lines[0], range(lo, lo + 1)))
-            assert counting.reads > 0
+            assert counting.reads > 0 and counting.scans == 1
+            assert set(counting.got.values()) <= {1}
             counting.reads = 0
             for line in range(lines[0], lines[1] + 1):
                 for first in range(lo, hi + 1):
