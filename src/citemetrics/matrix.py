@@ -309,10 +309,10 @@ class PubCitMatrix:
         line and two bisections among that line's stored cells however long
         the window, and the window is never listed.
         """
-        return self._sum(window, self._citation_totals)
+        return self._sum(window, self._totals)
 
     @cached_property
-    def _citation_totals(self) -> _LineTotals:
+    def _totals(self) -> _LineTotals:
         return _LineTotals(self.citations)
 
     def _sum(self, window: Window, totals: _LineTotals) -> int:
@@ -367,10 +367,10 @@ class AugmentedMatrix:
     def window_sum(self, window: Window) -> int:
         """Sum the unique-new counts over a :class:`Window`, checked against
         the spans as :meth:`PubCitMatrix.window_sum` checks it."""
-        return self.base._sum(window, self._unique_totals)
+        return self.base._sum(window, self._totals)
 
     @cached_property
-    def _unique_totals(self) -> _LineTotals:
+    def _totals(self) -> _LineTotals:
         return _LineTotals(self.unique_new)
 
 
@@ -462,11 +462,12 @@ def augment(matrix: PubCitMatrix, journals: Mapping[Cell, set], variant: str) ->
     for cell in scanned:
         if line_of(cell) != line:
             line, seen = line_of(cell), set()
-        here = journals[cell]
-        new = len(here - seen)
+        # The journals new here are the growth of ``seen``: no set of them is built.
+        before = len(seen)
+        seen |= journals[cell]
+        new = len(seen) - before
         if new:
             unique[cell] = new
-            seen |= here
     return AugmentedMatrix(variant, unique, matrix)
 
 

@@ -18,6 +18,12 @@ of the preceding years, while the diachronous family looks *forwards* from a
 publication year at the citations it accumulates. Diffusion factors divide
 first-appearance journal counts by publications (JDF) or by citations (RDF,
 "relative"), so an RDF is always in (0, 1] whenever it is defined.
+
+A windowed indicator evaluates a run of years in one pass,
+:meth:`Indicator.column`: its checks, spans and running totals are read
+once, and each year gets its value or its refusal, an
+:class:`UndefinedMetricError` built but not raised. A call for one year is
+the column of that year, with the refusal raised.
 """
 
 from __future__ import annotations
@@ -25,7 +31,7 @@ from __future__ import annotations
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING, Iterable, NoReturn
+from typing import TYPE_CHECKING, Iterable
 
 from .errors import UndefinedMetricError
 from .matrix import (
@@ -89,10 +95,16 @@ def _check_window(window: int | None) -> None:
         raise ValueError("window must be a positive number of years (or None for max)")
 
 
-def _undefined(message: str, missing: Sequence[int] = ()) -> NoReturn:
-    raise UndefinedMetricError(
+def _refusal(message: str, missing: Sequence[int] = ()) -> UndefinedMetricError:
+    """The refusal of an undefined request, built and not raised."""
+    return UndefinedMetricError(
         message, missing_years=missing if isinstance(missing, YearRuns) else tuple(missing)
     )
+
+
+def _outside(year: int, span: YearSpan, what: str) -> UndefinedMetricError:
+    """The refusal of a line year outside its span."""
+    return _refusal(f"{year} is outside the {what} years {span[0]}-{span[1]}", (year,))
 
 
 def _years(first: int, last: int, step: int) -> range:
@@ -102,24 +114,26 @@ def _years(first: int, last: int, step: int) -> range:
 
 
 def _line_window(
-    matrix: PubCitMatrix, axis: str, line: int, start: int, window: int | None, clip: bool
-) -> Window:
-    """The cells a row or column window sums, from the window's ends alone.
+    axis: str, span: YearSpan, line: int, start: int, window: int | None, clip: bool
+) -> Window | UndefinedMetricError:
+    """The cells a row or column window sums, from the window's ends alone,
+    or the refusal of a window that is undefined.
 
     A ``ROW`` window reads citation year ``line`` from publication year
     ``start`` back ``window`` years; a ``COLUMN`` window reads publication
     year ``line`` from citation year ``start`` forward ``window`` years.
-    ``window=None`` runs to the far end of the span. With ``clip`` the window
-    is cut to the span, and undefined only when nothing is left; without it,
-    every year must lie in the span. The years a window misses are at most
-    two runs, one beyond each end of the span, so nothing here grows with
-    the window's length.
+    ``span`` is the matrix's span of the years read: publication years for a
+    row, citation years for a column. ``window=None`` runs to the far end of
+    the span. With ``clip`` the window is cut to the span, and undefined
+    only when nothing is left; without it, every year must lie in the span.
+    The years a window misses are at most two runs, one beyond each end of
+    the span, so nothing here grows with the window's length.
     """
-    _check_window(window)
+    lo, hi = span
     if axis == ROW:
-        (lo, hi), step, what, side = matrix.pub_years, -1, "publication", "before"
+        step, what, side = -1, "publication", "before"
     else:
-        (lo, hi), step, what, side = matrix.cite_years, 1, "citation", "after"
+        step, what, side = 1, "citation", "after"
     if window is None:
         w_lo, w_hi = (lo, start) if step < 0 else (start, hi)
     elif step < 0:
@@ -130,25 +144,15 @@ def _line_window(
     if in_lo <= in_hi and (clip or window is None or (in_lo == w_lo and in_hi == w_hi)):
         return Window(axis, line, _years(in_lo, in_hi, step))
     if window is None:
-        _undefined(f"no {what} years at or {side} {start} in {lo}-{hi}", YearRuns(range(start, start + 1)))
+        return _refusal(f"no {what} years at or {side} {start} in {lo}-{hi}", YearRuns(range(start, start + 1)))
     if clip:
-        _undefined(
+        return _refusal(
             f"window {w_lo}-{w_hi} has no overlap with {what} years {lo}-{hi}",
             YearRuns(_years(w_lo, w_hi, step)),
         )
     below, above = _years(w_lo, min(w_hi, lo - 1), step), _years(max(w_lo, hi + 1), w_hi, step)
     missing = YearRuns(below, above) if step > 0 else YearRuns(above, below)
-    _undefined(f"{what} years {missing} are outside {lo}-{hi} and clipping is off", missing)
-
-
-def _check_line(matrix: PubCitMatrix, axis: str, year: int, *, need_articles: bool = False) -> None:
-    """A row's citation year, or a column's publication year, must lie in its
-    span; with ``need_articles`` the column's year must have articles."""
-    (lo, hi), what = (matrix.cite_years, "citation") if axis == ROW else (matrix.pub_years, "publication")
-    if not lo <= year <= hi:
-        _undefined(f"{year} is outside the {what} years {lo}-{hi}", [year])
-    if need_articles and matrix.pub(year) == 0:
-        _undefined(f"no articles were published in {year}", [year])
+    return _refusal(f"{what} years {missing} are outside {lo}-{hi} and clipping is off", missing)
 
 
 @dataclass(frozen=True)
@@ -181,28 +185,74 @@ class Indicator:
         shift: int = 1,
         clip: bool = True,
     ) -> MetricValue:
-        """The indicator for ``year`` over ``source``: the matrix, or the
-        augmented matrix of ``variant``. ``shift`` is read only when
-        ``offset`` is None, as for ``diach_if``."""
+        """The indicator for ``year``: its :meth:`column` of one year, with
+        the refusal raised when the year is undefined."""
+        values = self.column(source, (year,), window, shift=shift, clip=clip)
+        if isinstance(values[0], UndefinedMetricError):
+            # Popped, so this frame, which the traceback keeps, holds no
+            # reference back to the refusal: raising it makes no cycle.
+            raise values.pop()
+        return values[0]
+
+    def column(
+        self,
+        source: PubCitMatrix | AugmentedMatrix,
+        years: Iterable[int],
+        window: int | None,
+        *,
+        shift: int = 1,
+        clip: bool = True,
+    ) -> list[MetricValue | UndefinedMetricError]:
+        """The indicator for each of ``years`` over ``source``: the matrix,
+        or the augmented matrix of ``variant``. Each year's entry is its
+        value, or the :class:`UndefinedMetricError` a call for that year
+        raises, built and not raised. ``shift`` is read only when ``offset``
+        is None, as for ``diach_if``.
+
+        The checks, spans and running totals are read once; a year costs its
+        window's ends, a few bisections and the value built from them.
+        """
         if self.variant is not None and source.variant != self.variant:
             raise ValueError(f"this metric needs the {self.variant} augmentation, got {source.variant}")
         matrix = source if self.variant is None else source.base
         if self.offset is None and shift < 0:
             raise ValueError("shift must be non-negative")
+        _check_window(window)
+        axis, relative = self.axis, self.relative
         offset = shift if self.offset is None else self.offset
-        row = self.axis == ROW
-        _check_line(matrix, self.axis, year, need_articles=not (row or self.relative))
-        cells = _line_window(matrix, self.axis, year, year - offset if row else year + offset, window, clip)
-        if not self.relative:
-            # Along a column, the year's articles were checked above.
-            denominator = matrix.publications.total(cells.years) if row else matrix.pub(year)
-            if denominator == 0:
-                _undefined(f"no articles were published in {YearRuns(cells.years)}", YearRuns(cells.years))
-        elif (denominator := matrix.window_sum(cells)) == 0 and row:
-            _undefined(f"no citations were made in {year} within the window", [year])
-        elif denominator == 0:
-            _undefined(f"articles published in {year} received no citations in the window", [year])
-        return MetricValue(source.window_sum(cells), denominator, cells)
+        if axis == ROW:
+            line_span, span, what, step = matrix.cite_years, matrix.pub_years, "citation", -1
+        else:
+            line_span, span, what, step = matrix.pub_years, matrix.cite_years, "publication", 1
+        line_lo, line_hi = line_span
+        numerators, citations, ledger = source._totals, matrix._totals, matrix.publications
+
+        def value(year: int) -> MetricValue | UndefinedMetricError:
+            # Every name this sets is local to one year: nothing carries over.
+            if not line_lo <= year <= line_hi:
+                return _outside(year, line_span, what)
+            # Along a column the year's articles are the denominator.
+            if axis == COLUMN and not relative and ledger.count(year) == 0:
+                return _refusal(f"no articles were published in {year}", (year,))
+            cells = _line_window(axis, span, year, year + step * offset, window, clip)
+            if isinstance(cells, UndefinedMetricError):
+                return cells
+            if relative:
+                denominator = citations.sum(cells)
+            elif axis == ROW:
+                denominator = ledger.total(cells.years)
+            else:
+                denominator = ledger.count(year)
+            if denominator:
+                return MetricValue(numerators.sum(cells), denominator, cells)
+            if not relative:
+                missing = YearRuns(cells.years)
+                return _refusal(f"no articles were published in {missing}", missing)
+            if axis == ROW:
+                return _refusal(f"no citations were made in {year} within the window", (year,))
+            return _refusal(f"articles published in {year} received no citations in the window", (year,))
+
+        return list(map(value, years))
 
 
 INDICATORS = {
@@ -237,21 +287,23 @@ def garfield_if(matrix: PubCitMatrix, year: int) -> MetricValue:
     """Classic two-year impact factor: citations in ``year`` to the two prior
     years' articles, divided by those years' article counts. No clipping;
     both prior years must exist."""
-    _check_line(matrix, ROW, year)
+    cite_lo, cite_hi = matrix.cite_years
+    if not cite_lo <= year <= cite_hi:
+        raise _outside(year, matrix.cite_years, "citation")
     pub_lo, pub_hi = matrix.pub_years
     prior = range(year - 1, year - 3, -1)
     missing = [y for y in prior if not pub_lo <= y <= pub_hi]
     if missing:
         # Two adjacent years outside one span: the years missed form one run.
         runs = YearRuns(range(missing[0], missing[-1] - 1, -1))
-        _undefined(
+        raise _refusal(
             f"impact factor for {year} needs publications in {year - 2} and {year - 1}; "
             f"{runs} outside {pub_lo}-{pub_hi}",
             runs,
         )
     denominator = matrix.pub(year - 1) + matrix.pub(year - 2)
     if denominator == 0:
-        _undefined(f"no articles were published in {year - 2}-{year - 1}", prior)
+        raise _refusal(f"no articles were published in {year - 2}-{year - 1}", prior)
     cells = Window(ROW, year, prior)
     numerator = matrix.window_sum(cells)
     return MetricValue(numerator, denominator, cells)
@@ -277,12 +329,12 @@ def rowlands_jdf(
         min(cite_window[1], matrix.cite_years[1]),
     )
     if pub_clipped[0] > pub_clipped[1] or cite_clipped[0] > cite_clipped[1]:
-        _undefined("the requested block has no overlap with the matrix year spans")
+        raise _refusal("the requested block has no overlap with the matrix year spans")
     cells = tuple((k, i) for k in year_range(cite_clipped) for i in year_range(pub_clipped))
     rows = (Window(ROW, k, year_range(pub_clipped)) for k in year_range(cite_clipped))
     denominator = sum(map(matrix.window_sum, rows))
     if denominator == 0:
-        _undefined("no citations fall inside the block")
+        raise _refusal("no citations fall inside the block")
     numerator = 100 * distinct_journals_block(events, pub_clipped, cite_clipped)
     return MetricValue(numerator, denominator, cells)
 

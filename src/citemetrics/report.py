@@ -16,6 +16,11 @@ diach_jdf_max         diachronous journal diffusion, largest window
 Cells round half-up at two decimals, except sync_jdf_max at three (its
 values sit an order of magnitude lower). Undefined cells render as ``x`` in
 every output format.
+
+Each column is one :meth:`~citemetrics.metrics.Indicator.column` over the
+report's years. garfield_if is sync_if over the two prior years without
+clipping, the same request as sync_if2, so the seven columns take six
+column calls.
 """
 
 from __future__ import annotations
@@ -23,14 +28,16 @@ from __future__ import annotations
 from dataclasses import make_dataclass
 
 from .errors import UndefinedMetricError
-from .matrix import AugmentedMatrix, PubCitMatrix, year_range
-from .metrics import MetricValue, evaluator
+from .matrix import DIACHRONOUS, SYNCHRONOUS, AugmentedMatrix, PubCitMatrix, year_range
+from .metrics import INDICATORS, MetricValue
 
 UNDEFINED = "x"
 
-# (name, request as (kind, window, shift, clip), decimal places)
+# (name, request as (kind, window, shift, clip), decimal places). garfield_if
+# reads the cells and articles of sync_if at window 2 without clipping, so it
+# is that request: the same value, or a refusal where garfield_if refuses.
 _COLUMNS = (
-    ("garfield_if", ("garfield_if", 2, 1, False), 2),
+    ("garfield_if", ("sync_if", 2, 1, False), 2),
     ("sync_if2", ("sync_if", 2, 1, False), 2),
     ("diach_if2s1", ("diach_if", 2, 1, True), 2),
     ("sync_rdf_max", ("sync_rdf", None, 1, True), 2),
@@ -67,23 +74,20 @@ def format_ratio(numerator: int, denominator: int, precision: int) -> str:
     return f"{digits[:-precision]}.{digits[-precision:]}"
 
 
-def _attempt(fn, *args) -> MetricValue | None:
-    try:
-        return fn(*args)
-    except UndefinedMetricError:
-        return None
-
-
 def build_report(
     matrix: PubCitMatrix, sync: AugmentedMatrix, diach: AugmentedMatrix
 ) -> list[ReportRow]:
-    """Compute every cell of the report; undefined cells become None."""
+    """Compute every cell of the report, a column per distinct request;
+    undefined cells become None."""
     years = sorted(set(year_range(matrix.pub_years)) | set(year_range(matrix.cite_years)))
-    readers = [(evaluator(kind, matrix, sync, diach), *request) for _, (kind, *request), _ in _COLUMNS]
-    return [
-        ReportRow(year, *[_attempt(read, year, window, shift, clip) for read, window, shift, clip in readers])
-        for year in years
-    ]
+    sources = {None: matrix, SYNCHRONOUS: sync, DIACHRONOUS: diach}
+    columns = {}
+    for request in dict.fromkeys(request for _, request, _ in _COLUMNS):
+        kind, window, shift, clip = request
+        indicator = INDICATORS[kind]
+        values = indicator.column(sources[indicator.variant], years, window, shift=shift, clip=clip)
+        columns[request] = [None if isinstance(value, UndefinedMetricError) else value for value in values]
+    return [ReportRow(*cells) for cells in zip(years, *(columns[request] for _, request, _ in _COLUMNS))]
 
 
 def _cell_text(value: MetricValue | None, precision: int) -> str:

@@ -12,12 +12,15 @@ from decimal import ROUND_DOWN, ROUND_HALF_UP, Decimal, localcontext
 
 from hypothesis import strategies as st
 
+from citemetrics.errors import UndefinedMetricError
 from citemetrics.ingest import MAX_COUNT, CitationEvent, JournalId, PublicationLedger
 from citemetrics.matrix import (
+    ROW,
     augment_diachronous,
     augment_synchronous,
     build_pc_matrix,
 )
+from citemetrics.metrics import _line_window
 
 
 def journal(name: str) -> JournalId:
@@ -38,6 +41,16 @@ def ev(journal_name, citing_year, pub_year, cid=None, cited="art"):
 def build_all(events, ledger, pub_span, cite_span):
     matrix = build_pc_matrix(events, ledger, pub_span, cite_span)
     return matrix, augment_synchronous(matrix, events), augment_diachronous(matrix, events)
+
+
+def line_window(matrix, axis, line, start, window, clip):
+    """The window ``_line_window`` reads over ``matrix``'s span of the years
+    read, with its refusal raised."""
+    span = matrix.pub_years if axis == ROW else matrix.cite_years
+    cells = _line_window(axis, span, line, start, window, clip)
+    if isinstance(cells, UndefinedMetricError):
+        raise cells
+    return cells
 
 
 def random_corpus(rng: random.Random, big: bool = False):
@@ -67,6 +80,18 @@ def random_corpus(rng: random.Random, big: bool = False):
         )
     ledger = PublicationLedger({y: rng.randint(0, 40) for y in range(pub_lo, pub_hi + 1)})
     return events, ledger, (pub_lo, pub_hi), (cite_lo, cite_hi)
+
+
+@st.composite
+def augmented_matrices(draw):
+    """A matrix and both augmentations over a corpus ``random_corpus`` makes
+    from a drawn seed, with up to three publication years drawn to hold no
+    articles."""
+    events, ledger, pub_span, cite_span = random_corpus(random.Random(draw(st.integers(0, 2**32 - 1))))
+    counts = dict(ledger.counts)
+    for year in draw(st.lists(st.sampled_from(sorted(counts)), max_size=3)):
+        counts[year] = 0
+    return build_all(events, PublicationLedger(counts), pub_span, cite_span)
 
 
 @st.composite

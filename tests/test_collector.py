@@ -14,6 +14,8 @@ import pytest
 
 from citemetrics import cli
 from citemetrics.cli import main
+from citemetrics.errors import UndefinedMetricError
+from citemetrics.metrics import MetricRequest, evaluate
 
 from conftest import DATA
 
@@ -173,3 +175,24 @@ def test_query_garbage_does_not_grow_with_the_fixture(tmp_path, args, code, caps
 def test_rejected_fixture_garbage_does_not_grow_with_the_fixture(tmp_path, capsys):
     small, big = _fixture(tmp_path, 5, invalid=True), _fixture(tmp_path, 20, invalid=True)
     _assert_bounded(["report", "--matrix", small], ["report", "--matrix", big], 3, capsys)
+
+
+@pytest.mark.parametrize(
+    ("kind", "year", "window"),
+    [("sync_if", 2004, 2), ("diach_if", 2011, 2), ("sync_jdf", 2003, None), ("diach_jdf", 2009, 2),
+     ("sync_rdf", 2005, 3), ("diach_rdf", 2003, None), ("garfield_if", 2005, 2)],
+)
+def test_a_raised_refusal_leaves_no_cyclic_garbage(mjm, kind, year, window):
+    """An indicator builds its refusal and then raises it: the frames its
+    traceback keeps must hold no reference back to it."""
+    request = MetricRequest(kind, year, window, 1, False)
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        with pytest.raises(UndefinedMetricError):
+            evaluate(request, mjm.matrix, mjm.sync, mjm.diach)
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()

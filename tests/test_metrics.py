@@ -10,7 +10,6 @@ from citemetrics.matrix import COLUMN, ROW, year_range
 from citemetrics.metrics import (
     INDICATORS,
     MetricRequest,
-    _line_window,
     diach_if,
     diach_jdf,
     diach_rdf,
@@ -22,7 +21,7 @@ from citemetrics.metrics import (
     sync_rdf,
 )
 
-from helpers import build_all, column_events, ev, random_corpus
+from helpers import build_all, column_events, ev, line_window, random_corpus
 
 
 class TestGarfield:
@@ -470,14 +469,14 @@ class TestClippedWindows:
             for window in range(1, 14):
                 for offset in (0, 1):
                     check(
-                        lambda: _line_window(mjm.matrix, ROW, year, year - offset, window, True),
+                        lambda: line_window(mjm.matrix, ROW, year, year - offset, window, True),
                         [year - offset - j for j in range(window)],
                         pub_lo,
                         pub_hi,
                     )
                 for shift in (0, 1, 3):
                     check(
-                        lambda: _line_window(mjm.matrix, COLUMN, year, year + shift, window, True),
+                        lambda: line_window(mjm.matrix, COLUMN, year, year + shift, window, True),
                         [year + shift + j for j in range(window)],
                         cite_lo,
                         cite_hi,

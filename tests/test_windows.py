@@ -29,9 +29,9 @@ from citemetrics.matrix import (
     matrix_from_counts,
     year_range,
 )
-from citemetrics.metrics import MetricRequest, _line_window, evaluate, sync_if
+from citemetrics.metrics import MetricRequest, evaluate, sync_if
 
-from helpers import runs_text
+from helpers import line_window, runs_text
 
 WINDOW_KINDS = ("sync_if", "diach_if", "sync_jdf", "diach_jdf", "sync_rdf", "diach_rdf")
 
@@ -166,7 +166,7 @@ def test_window_years_and_missing_runs_equal_the_listed_filter(clip):
                 window = rng.choice((None, rng.randint(1, hi - lo + 14)))
                 offset = rng.randint(0, 3)
                 start = year + step * offset
-                call = lambda: _line_window(matrix, axis, year, start, window, clip)
+                call = lambda: line_window(matrix, axis, year, start, window, clip)
                 years, missing, wanted = listed(lo, hi, start, window, step, clip)
                 if wanted and min(wanted) < lo and max(wanted) > hi:
                     overhang_both += 1
@@ -196,14 +196,14 @@ def test_window_years_and_missing_runs_equal_the_listed_filter(clip):
 
 def test_a_window_of_1e11_years_misses_two_runs_not_a_list(mjm):
     with pytest.raises(UndefinedMetricError) as err:
-        _line_window(mjm.matrix, ROW, 2006, 2006, 10**11, False)
+        line_window(mjm.matrix, ROW, 2006, 2006, 10**11, False)
     missing = err.value.missing_years
     assert missing.runs == (range(2003, 2006 - 10**11, -1),)
     assert str(err.value) == (
         "publication years -99999997993–2003 are outside 2004-2008 and clipping is off"
     )
     with pytest.raises(UndefinedMetricError) as err:
-        _line_window(mjm.matrix, COLUMN, 2000, 2001, 10**11, False)
+        line_window(mjm.matrix, COLUMN, 2000, 2001, 10**11, False)
     assert err.value.missing_years.runs == (range(2001, 2004), range(2011, 2001 + 10**11))
     assert str(err.value) == (
         "citation years 2001–2003, 2011–100000002000 are outside 2004-2010 and clipping is off"
