@@ -304,18 +304,21 @@ def save_fixture(
 
     The document goes to a new temporary file beside ``path``, which then
     replaces ``path`` in one rename, so a write that fails part way leaves
-    any previous fixture as it was.
+    any previous fixture as it was. An OSError names ``path``, never that file.
     """
     doc = to_document(matrix, sync, diach)
     directory, name = os.path.split(os.fspath(path))
     tmp = os.path.join(directory, f".{name}.{os.urandom(8).hex()}.tmp")
-    # Mode 0o666 leaves the permissions to the umask, as open(path, "w") does.
-    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
-        with open(fd, "w", encoding="utf-8") as fh:
-            _write_document(fh, doc)
-        os.replace(tmp, path)
-    except BaseException:
-        with suppress(OSError):
-            os.unlink(tmp)
-        raise
+        # Mode 0o666 leaves the permissions to the umask, as open(path, "w") does.
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+        try:
+            with open(fd, "w", encoding="utf-8") as fh:
+                _write_document(fh, doc)
+            os.replace(tmp, path)
+        except BaseException:
+            with suppress(OSError):
+                os.unlink(tmp)
+            raise
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, os.fspath(path)) from None

@@ -28,7 +28,7 @@ the column of that year, with the refusal raised.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, Iterable
@@ -97,14 +97,25 @@ def _check_window(window: int | None) -> None:
 
 def _refusal(message: str, missing: Sequence[int] = ()) -> UndefinedMetricError:
     """The refusal of an undefined request, built and not raised."""
-    return UndefinedMetricError(
-        message, missing_years=missing if isinstance(missing, YearRuns) else tuple(missing)
-    )
+    return UndefinedMetricError(message, missing if isinstance(missing, YearRuns) else tuple(missing))
 
 
 def _outside(year: int, span: YearSpan, what: str) -> UndefinedMetricError:
     """The refusal of a line year outside its span."""
     return _refusal(f"{year} is outside the {what} years {span[0]}-{span[1]}", (year,))
+
+
+def _source_matrix(kind: str, variant: str | None, source: PubCitMatrix | AugmentedMatrix | None) -> PubCitMatrix:
+    """The matrix ``kind`` reads through ``source``: the citation matrix itself
+    if ``variant`` is None, else its ``variant`` augmentation. Any other
+    source, None included, raises a one-line ValueError."""
+    if variant is None and isinstance(source, PubCitMatrix):
+        return source
+    if variant is not None and isinstance(source, AugmentedMatrix):
+        if source.variant != variant:
+            raise ValueError(f"this metric needs the {variant} augmentation, got {source.variant}")
+        return source.base
+    raise ValueError(f"{kind} needs the {'citation' if variant is None else f'{variant} augmented'} matrix")
 
 
 def _years(first: int, last: int, step: int) -> range:
@@ -204,17 +215,15 @@ class Indicator:
         clip: bool = True,
     ) -> list[MetricValue | UndefinedMetricError]:
         """The indicator for each of ``years`` over ``source``: the matrix,
-        or the augmented matrix of ``variant``. Each year's entry is its
-        value, or the :class:`UndefinedMetricError` a call for that year
-        raises, built and not raised. ``shift`` is read only when ``offset``
-        is None, as for ``diach_if``.
+        or the augmented matrix of ``variant``, and no other source. Each
+        year's entry is its value, or the :class:`UndefinedMetricError` a
+        call for that year raises, built and not raised. ``shift`` is read
+        only when ``offset`` is None, as for ``diach_if``.
 
         The checks, spans and running totals are read once; a year costs its
         window's ends, a few bisections and the value built from them.
         """
-        if self.variant is not None and source.variant != self.variant:
-            raise ValueError(f"this metric needs the {self.variant} augmentation, got {source.variant}")
-        matrix = source if self.variant is None else source.base
+        matrix = _source_matrix(self.name, self.variant, source)
         if self.offset is None and shift < 0:
             raise ValueError("shift must be non-negative")
         _check_window(window)
@@ -287,6 +296,7 @@ def garfield_if(matrix: PubCitMatrix, year: int) -> MetricValue:
     """Classic two-year impact factor: citations in ``year`` to the two prior
     years' articles, divided by those years' article counts. No clipping;
     both prior years must exist."""
+    matrix = _source_matrix("garfield_if", None, matrix)
     cite_lo, cite_hi = matrix.cite_years
     if not cite_lo <= year <= cite_hi:
         raise _outside(year, matrix.cite_years, "citation")
@@ -305,8 +315,7 @@ def garfield_if(matrix: PubCitMatrix, year: int) -> MetricValue:
     if denominator == 0:
         raise _refusal(f"no articles were published in {year - 2}-{year - 1}", prior)
     cells = Window(ROW, year, prior)
-    numerator = matrix.window_sum(cells)
-    return MetricValue(numerator, denominator, cells)
+    return MetricValue(matrix.window_sum(cells), denominator, cells)
 
 
 def rowlands_jdf(
@@ -339,31 +348,16 @@ def rowlands_jdf(
     return MetricValue(numerator, denominator, cells)
 
 
-def evaluator(
-    kind: str, matrix: PubCitMatrix, sync: AugmentedMatrix | None = None, diach: AugmentedMatrix | None = None
-) -> Callable[[int, int | None, int, bool], MetricValue]:
-    """``kind`` over these matrices, as a function of ``(year, window, shift,
-    clip)``; ``garfield_if`` reads the year alone.
-
-    ``rowlands_jdf`` is excluded: it works on raw events, not on a matrix, so
-    it has no meaningful request form here.
-    """
-    if kind == "garfield_if":
-        return lambda year, window, shift, clip: garfield_if(matrix, year)
-    indicator = INDICATORS.get(kind)
+def evaluate(
+    request: MetricRequest, matrix: PubCitMatrix, sync: AugmentedMatrix | None = None, diach: AugmentedMatrix | None = None
+) -> MetricValue:
+    """Evaluate a request: ``garfield_if`` over ``matrix``, or the request's
+    :data:`INDICATORS` row over the one of the three matrices it reads.
+    ``rowlands_jdf`` works on raw events, so it has no request form here."""
+    if request.kind == "garfield_if":
+        return garfield_if(matrix, request.year)
+    indicator = INDICATORS.get(request.kind)
     if indicator is None:
         raise ValueError("rowlands_jdf works on citation events; call rowlands_jdf() directly")
     source = {None: matrix, SYNCHRONOUS: sync, DIACHRONOUS: diach}[indicator.variant]
-    if source is None:
-        raise ValueError(f"{kind} needs the {indicator.variant} augmented matrix")
-    return lambda year, window, shift, clip: indicator(source, year, window, shift=shift, clip=clip)
-
-
-def evaluate(
-    request: MetricRequest,
-    matrix: PubCitMatrix,
-    sync: AugmentedMatrix | None = None,
-    diach: AugmentedMatrix | None = None,
-) -> MetricValue:
-    """Evaluate a request over the matrices its kind needs (see :func:`evaluator`)."""
-    return evaluator(request.kind, matrix, sync, diach)(request.year, request.window, request.shift, request.clip)
+    return indicator(source, request.year, request.window, shift=request.shift, clip=request.clip)

@@ -1,3 +1,4 @@
+import errno
 import json
 import os
 import tracemalloc
@@ -93,6 +94,20 @@ class TestIngest:
         monkeypatch.chdir(cites.parent)
         assert main(["ingest", "--pubs", "nope.csv", "--cites", str(cites), "--matrix", str(out)]) == 1
         assert capsys.readouterr().err == "citemetrics: error: [Errno 2] No such file or directory: 'nope.csv'\n"
+
+    @pytest.mark.parametrize(
+        ("matrix", "code"),
+        [("nodir/out.json", errno.ENOENT), ("outdir", errno.EISDIR)],
+    )
+    def test_a_failed_fixture_write_names_the_matrix_path(self, corpus, monkeypatch, capsys, matrix, code):
+        pubs, cites, _ = corpus
+        monkeypatch.chdir(pubs.parent)
+        (pubs.parent / "outdir").mkdir()
+        before = sorted(os.listdir())
+        assert main(["ingest", "--pubs", str(pubs), "--cites", str(cites), "--matrix", matrix]) == 1
+        assert capsys.readouterr().err == f"citemetrics: error: [Errno {code}] {os.strerror(code)}: '{matrix}'\n"
+        assert sorted(os.listdir()) == before
+        assert os.listdir("outdir") == []
 
     def test_empty_publications_file_names_its_file(self, corpus, capsys):
         pubs, cites, out = corpus
@@ -356,6 +371,19 @@ class TestReport:
         path.write_text(json.dumps(mjm_doc))
         assert main(["report", "--matrix", str(path)]) == 3
         assert "ingest" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("block", ["unique_new_sync", "unique_new_diach"])
+    def test_a_fixture_without_one_block_exits_3_in_one_line(self, tmp_path, mjm_doc, capsys, block):
+        del mjm_doc[block]
+        path = tmp_path / "partial.json"
+        path.write_text(json.dumps(mjm_doc))
+        assert main(["report", "--matrix", str(path)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"citemetrics: bad fixture: {path} lacks the unique_new_sync/unique_new_diach blocks "
+            "the report needs; regenerate it with 'citemetrics ingest'\n"
+        )
 
 
 class TestUsage:

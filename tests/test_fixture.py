@@ -145,6 +145,19 @@ def test_save_onto_a_directory_fails_without_a_stray_file(tmp_path, mjm):
     assert os.listdir(tmp_path) == ["fx.json"]
 
 
+def test_a_failed_save_names_the_path_as_given(tmp_path, mjm, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "outdir").mkdir()
+    with pytest.raises(FileNotFoundError) as missing:
+        save_fixture("nodir/out.json", mjm.matrix)
+    with pytest.raises(IsADirectoryError) as directory:
+        save_fixture(tmp_path / "outdir", mjm.matrix)
+    assert str(missing.value) == f"[Errno {errno.ENOENT}] {os.strerror(errno.ENOENT)}: 'nodir/out.json'"
+    assert str(directory.value) == f"[Errno {errno.EISDIR}] {os.strerror(errno.EISDIR)}: '{tmp_path / 'outdir'}'"
+    assert os.listdir(tmp_path) == ["outdir"]
+    assert os.listdir(tmp_path / "outdir") == []
+
+
 def test_importing_the_commands_loads_no_secrets_module():
     """save_fixture names its temporary file from os.urandom, so a command
     pays for no secrets module and what it imports."""

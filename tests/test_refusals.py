@@ -10,6 +10,7 @@ import pytest
 from citemetrics.errors import UndefinedMetricError
 from citemetrics.ingest import PublicationLedger
 from citemetrics.metrics import (
+    INDICATORS,
     MetricRequest,
     diach_if,
     diach_jdf,
@@ -20,6 +21,7 @@ from citemetrics.metrics import (
     sync_jdf,
     sync_rdf,
 )
+from citemetrics.report import build_report
 
 from helpers import build_all, ev
 
@@ -201,4 +203,82 @@ def test_rowlands_has_no_request_form(mjm):
     request = MetricRequest("rowlands_jdf", 2006, 2)
     assert _refused(evaluate, request, mjm.matrix, mjm.sync, mjm.diach) == (
         "rowlands_jdf works on citation events; call rowlands_jdf() directly"
+    )
+
+
+def _source_refusal(fn, *args, **kwargs):
+    """The text of the ValueError a wrong source raises, checked to be one
+    line: never an AttributeError from reading the wrong object."""
+    message = _refused(fn, *args, **kwargs)
+    assert "\n" not in message
+    return message
+
+
+def _source(mjm, name):
+    return None if name is None else getattr(mjm, name)
+
+
+# The fixture field each indicator reads, and every other source by that
+# name, None included.
+_READS = {None: "matrix", "synchronous": "sync", "diachronous": "diach"}
+_WRONG_SOURCES = [
+    (kind, given)
+    for kind, indicator in INDICATORS.items()
+    for given in (None, "matrix", "sync", "diach")
+    if given != _READS[indicator.variant]
+]
+
+
+@pytest.mark.parametrize(("kind", "given"), _WRONG_SOURCES)
+def test_an_indicator_refuses_every_source_it_does_not_read(mjm, kind, given):
+    indicator = INDICATORS[kind]
+    variant = indicator.variant
+    if variant is None:
+        text = f"{kind} needs the citation matrix"
+    elif given in ("sync", "diach"):
+        text = f"this metric needs the {variant} augmentation, got {getattr(mjm, given).variant}"
+    else:
+        text = f"{kind} needs the {variant} augmented matrix"
+    source = _source(mjm, given)
+    assert _source_refusal(indicator, source, 2006, 2) == text
+    assert _source_refusal(indicator.column, source, [2005, 2006], None) == text
+
+
+@pytest.mark.parametrize("given", [None, "sync", "diach"])
+def test_garfield_refuses_anything_but_the_citation_matrix(mjm, given):
+    assert _source_refusal(garfield_if, _source(mjm, given), 2006) == "garfield_if needs the citation matrix"
+
+
+@pytest.mark.parametrize(
+    ("sync", "diach", "text"),
+    [
+        (None, "diach", "sync_rdf needs the synchronous augmented matrix"),
+        ("sync", None, "diach_rdf needs the diachronous augmented matrix"),
+        (None, None, "sync_rdf needs the synchronous augmented matrix"),
+        ("diach", "sync", "this metric needs the synchronous augmentation, got diachronous"),
+        ("matrix", "diach", "sync_rdf needs the synchronous augmented matrix"),
+    ],
+)
+def test_a_report_refuses_a_missing_or_wrong_augmentation(mjm, sync, diach, text):
+    assert _source_refusal(build_report, mjm.matrix, _source(mjm, sync), _source(mjm, diach)) == text
+
+
+@pytest.mark.parametrize(
+    ("kind", "text"),
+    [
+        ("garfield_if", "garfield_if needs the citation matrix"),
+        ("sync_if", "sync_if needs the citation matrix"),
+        ("diach_if", "diach_if needs the citation matrix"),
+    ],
+)
+def test_a_request_refuses_an_augmentation_in_place_of_the_matrix(mjm, kind, text):
+    request = MetricRequest(kind, 2006, 2)
+    assert _source_refusal(evaluate, request, mjm.sync, mjm.sync, mjm.diach) == text
+    assert _source_refusal(evaluate, request, None) == text
+
+
+def test_a_request_refuses_swapped_augmentations(mjm):
+    request = MetricRequest("diach_jdf", 2006, 2)
+    assert _source_refusal(evaluate, request, mjm.matrix, mjm.diach, mjm.sync) == (
+        "this metric needs the diachronous augmentation, got synchronous"
     )
