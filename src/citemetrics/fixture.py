@@ -48,6 +48,7 @@ from .matrix import (
     YearSpan,
     year_range,
 )
+from .metrics import _source_matrix
 
 # The field that holds each augmentation variant's unique-new block, in the
 # order a fixture lists them.
@@ -203,7 +204,11 @@ def to_document(
     sync: AugmentedMatrix | None = None,
     diach: AugmentedMatrix | None = None,
 ) -> dict:
-    """Serialize matrices into the fixture document shape."""
+    """Serialize matrices into the fixture document shape. ``matrix`` must
+    be a citation matrix and ``sync`` and ``diach``, when given, the
+    augmentations of their variants: anything else raises a one-line
+    ValueError."""
+    _source_matrix("to_document", None, matrix)
     doc: dict[str, Any] = {
         "pub_years": list(matrix.pub_years),
         "cite_years": list(matrix.cite_years),
@@ -213,9 +218,10 @@ def to_document(
     for variant, augmented in ((SYNCHRONOUS, sync), (DIACHRONOUS, diach)):
         if augmented is not None:
             field = _UNIQUE_BLOCKS[variant]
-            if augmented.variant != variant:
+            if isinstance(augmented, AugmentedMatrix) and augmented.variant != variant:
                 argument = field.removeprefix("unique_new_")
                 raise ValueError(f"{argument} argument must carry the {variant} variant")
+            _source_matrix("to_document", variant, augmented)
             doc[field] = _triple_list(augmented.unique_new)
     return doc
 

@@ -193,20 +193,33 @@ class _LineTotals:
         self.cells = cells
         self.axes: dict[str, tuple[dict[int, tuple[int, int]], list[int], list[int]]] = {}
 
-    def sum(self, window: Window) -> int:
-        """The counts over a window that holds at least one cell."""
-        axis, years = window.axis, window.years
+    def sums(self, axis: str, windows: Iterable[Window]) -> list[int]:
+        """The counts over each of ``windows``, all along ``axis``, with the
+        axis's index read once: an empty window, or one on a line with no
+        stored cell, sums to 0."""
         index = self.axes.get(axis)
         if index is None:
             index = self.axes[axis] = self._index(axis)
         bounds, along, totals = index
-        bound = bounds.get(window.line)
-        if bound is None:
-            return 0
-        start, end = bound
-        first, last = (years[0], years[-1]) if years.step > 0 else (years[-1], years[0])
-        lo = bisect_left(along, first, start, end)
-        return totals[bisect_right(along, last, lo, end)] - totals[lo]
+        line_bounds = bounds.get
+        out = []
+        for window in windows:
+            bound = line_bounds(window.line)
+            if bound is None:
+                out.append(0)
+                continue
+            start, end = bound
+            years = window.years
+            # The keys of the line from the window's first year to its
+            # last, read from the ends of its range.
+            if years.step > 0:
+                lo = bisect_left(along, years.start, start, end)
+                hi = bisect_left(along, years.stop, lo, end)
+            else:
+                lo = bisect_right(along, years.stop, start, end)
+                hi = bisect_right(along, years.start, lo, end)
+            out.append(totals[hi] - totals[lo])
+        return out
 
     def _index(self, axis: str) -> tuple[dict[int, tuple[int, int]], list[int], list[int]]:
         """Each line's ``(start, end)`` slice, each key's year along its
@@ -258,12 +271,22 @@ class PublicationLedger:
         reads however long the window."""
         if isinstance(years, range) and years and years.step in (1, -1):
             first, cumulative = self._cumulative
-            lo, hi = years[0] - first, years[-1] - first
-            if lo > hi:
-                lo, hi = hi, lo
-            if 0 <= lo and hi < len(cumulative) - 1:
-                return cumulative[hi + 1] - cumulative[lo]
+            if first <= min(years[0], years[-1]) and max(years[0], years[-1]) < first + len(cumulative) - 1:
+                return self.totals((years,))[0]
         return sum(map(self.counts.__getitem__, years))
+
+    def totals(self, runs: Iterable[range]) -> list[int]:
+        """Articles published over each of ``runs``, each a non-empty range
+        of consecutive ledger years, ascending or descending, with the
+        cumulative list read once: two reads a run."""
+        first, cumulative = self._cumulative
+        out = []
+        for run in runs:
+            if run.step > 0:
+                out.append(cumulative[run.stop - first] - cumulative[run.start - first])
+            else:
+                out.append(cumulative[run.start + 1 - first] - cumulative[run.stop + 1 - first])
+        return out
 
     @cached_property
     def _cumulative(self) -> tuple[int, list[int]]:
@@ -328,7 +351,7 @@ class PubCitMatrix:
         if not (line_lo <= line <= line_hi and lo <= years[0] <= hi and lo <= years[-1] <= hi):
             self._check_cell(*window[0])  # one of the two raises, naming its cell
             self._check_cell(*window[-1])
-        return totals.sum(window)
+        return totals.sums(window.axis, (window,))[0]
 
     def pub(self, year: int) -> int:
         lo, hi = self.pub_years

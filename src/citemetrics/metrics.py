@@ -19,11 +19,12 @@ publication year at the citations it accumulates. Diffusion factors divide
 first-appearance journal counts by publications (JDF) or by citations (RDF,
 "relative"), so an RDF is always in (0, 1] whenever it is defined.
 
-A windowed indicator evaluates a run of years in one pass,
+A windowed indicator evaluates a run of years at once,
 :meth:`Indicator.column`: its checks, spans and running totals are read
-once, and each year gets its value or its refusal, an
-:class:`UndefinedMetricError` built but not raised. A call for one year is
-the column of that year, with the refusal raised.
+once, the years go through a few passes over lists (their windows, the
+sums of each cell map, their values), and each year gets its value or its
+refusal, an :class:`UndefinedMetricError` built but not raised. A call for
+one year is the column of that year, with the refusal raised.
 """
 
 from __future__ import annotations
@@ -124,11 +125,12 @@ def _years(first: int, last: int, step: int) -> range:
     return range(first, last + 1) if step > 0 else range(last, first - 1, -1)
 
 
-def _line_window(
-    axis: str, span: YearSpan, line: int, start: int, window: int | None, clip: bool
-) -> Window | UndefinedMetricError:
-    """The cells a row or column window sums, from the window's ends alone,
-    or the refusal of a window that is undefined.
+def _line_windows(
+    axis: str, span: YearSpan, lines: Sequence[int], starts: Sequence[int], window: int | None, clip: bool
+) -> list[Window | UndefinedMetricError]:
+    """The cells each row or column window sums, from the window's ends
+    alone, or the refusal of a window that is undefined: one entry for each
+    pair of ``lines`` and ``starts``, in their order.
 
     A ``ROW`` window reads citation year ``line`` from publication year
     ``start`` back ``window`` years; a ``COLUMN`` window reads publication
@@ -137,25 +139,38 @@ def _line_window(
     row, citation years for a column. ``window=None`` runs to the far end of
     the span. With ``clip`` the window is cut to the span, and undefined
     only when nothing is left; without it, every year must lie in the span.
-    The years a window misses are at most two runs, one beyond each end of
-    the span, so nothing here grows with the window's length.
+    Each window is held by its ends, so nothing here grows with its length.
     """
+    lo, hi = span
+    # Each window's years cut to the span, in one pass: empty when none is left.
+    if axis == ROW:
+        ends = [lo] * len(starts) if window is None else [start - window + 1 for start in starts]
+        runs = [range(a if a < hi else hi, (b if b > lo else lo) - 1, -1) for a, b in zip(starts, ends)]
+    else:
+        ends = [hi] * len(starts) if window is None else [start + window - 1 for start in starts]
+        runs = [range(a if a > lo else lo, (b if b < hi else hi) + 1) for a, b in zip(starts, ends)]
+    # Unclipped, a window of a set length is defined only if nothing was cut.
+    whole = not clip and window is not None
+    return [
+        Window(axis, line, run)
+        if run and not (whole and (run[0] != start or run[-1] != end))
+        else _window_refusal(axis, span, start, window, clip)
+        for line, start, end, run in zip(lines, starts, ends, runs)
+    ]
+
+
+def _window_refusal(axis: str, span: YearSpan, start: int, window: int | None, clip: bool) -> UndefinedMetricError:
+    """The refusal of the undefined window from ``start``, as
+    :func:`_line_windows` reads it. The years it misses are at most two
+    runs, one beyond each end of the span."""
     lo, hi = span
     if axis == ROW:
         step, what, side = -1, "publication", "before"
     else:
         step, what, side = 1, "citation", "after"
     if window is None:
-        w_lo, w_hi = (lo, start) if step < 0 else (start, hi)
-    elif step < 0:
-        w_lo, w_hi = start - window + 1, start
-    else:
-        w_lo, w_hi = start, start + window - 1
-    in_lo, in_hi = max(w_lo, lo), min(w_hi, hi)
-    if in_lo <= in_hi and (clip or window is None or (in_lo == w_lo and in_hi == w_hi)):
-        return Window(axis, line, _years(in_lo, in_hi, step))
-    if window is None:
         return _refusal(f"no {what} years at or {side} {start} in {lo}-{hi}", YearRuns(range(start, start + 1)))
+    w_lo, w_hi = (start - window + 1, start) if step < 0 else (start, start + window - 1)
     if clip:
         return _refusal(
             f"window {w_lo}-{w_hi} has no overlap with {what} years {lo}-{hi}",
@@ -220,8 +235,10 @@ class Indicator:
         call for that year raises, built and not raised. ``shift`` is read
         only when ``offset`` is None, as for ``diach_if``.
 
-        The checks, spans and running totals are read once; a year costs its
-        window's ends, a few bisections and the value built from them.
+        The checks, spans and running totals are read once, and the years go
+        through a few passes over lists: the lines outside their span, the
+        windows, the sums of each map and the values. Only an undefined year
+        builds a refusal.
         """
         matrix = _source_matrix(self.name, self.variant, source)
         if self.offset is None and shift < 0:
@@ -234,34 +251,48 @@ class Indicator:
         else:
             line_span, span, what, step = matrix.pub_years, matrix.cite_years, "publication", 1
         line_lo, line_hi = line_span
-        numerators, citations, ledger = source._totals, matrix._totals, matrix.publications
-
-        def value(year: int) -> MetricValue | UndefinedMetricError:
-            # Every name this sets is local to one year: nothing carries over.
+        ledger = matrix.publications
+        counts = ledger.counts
+        # Along a column the year's articles are the denominator.
+        per_article = axis == COLUMN and not relative
+        # Each year's refusal if its line is undefined, else None for now.
+        column, lines = [], []
+        for year in years:
             if not line_lo <= year <= line_hi:
-                return _outside(year, line_span, what)
-            # Along a column the year's articles are the denominator.
-            if axis == COLUMN and not relative and ledger.count(year) == 0:
-                return _refusal(f"no articles were published in {year}", (year,))
-            cells = _line_window(axis, span, year, year + step * offset, window, clip)
-            if isinstance(cells, UndefinedMetricError):
-                return cells
-            if relative:
-                denominator = citations.sum(cells)
-            elif axis == ROW:
-                denominator = ledger.total(cells.years)
+                column.append(_outside(year, line_span, what))
+            elif per_article and counts[year] == 0:
+                column.append(_refusal(f"no articles were published in {year}", (year,)))
             else:
-                denominator = ledger.count(year)
-            if denominator:
-                return MetricValue(numerators.sum(cells), denominator, cells)
-            if not relative:
-                missing = YearRuns(cells.years)
-                return _refusal(f"no articles were published in {missing}", missing)
-            if axis == ROW:
-                return _refusal(f"no citations were made in {year} within the window", (year,))
-            return _refusal(f"articles published in {year} received no citations in the window", (year,))
+                column.append(None)
+                lines.append(year)
+        # Then each year's window or refusal, and then each window's value.
+        windows = iter(_line_windows(axis, span, lines, [line + step * offset for line in lines], window, clip))
+        column = [next(windows) if entry is None else entry for entry in column]
+        cells = [entry for entry in column if isinstance(entry, Window)]
+        numerators = source._totals.sums(axis, cells)
+        if relative:
+            denominators = matrix._totals.sums(axis, cells)
+        elif axis == ROW:
+            denominators = ledger.totals([found.years for found in cells])
+        else:
+            denominators = [counts[found.line] for found in cells]
+        values = iter(
+            [
+                MetricValue(numerator, denominator, found) if denominator else self._no_denominator(found)
+                for numerator, denominator, found in zip(numerators, denominators, cells)
+            ]
+        )
+        return [next(values) if isinstance(entry, Window) else entry for entry in column]
 
-        return list(map(value, years))
+    def _no_denominator(self, cells: Window) -> UndefinedMetricError:
+        """The refusal of a window whose denominator sums to 0."""
+        line = cells.line
+        if not self.relative:
+            missing = YearRuns(cells.years)
+            return _refusal(f"no articles were published in {missing}", missing)
+        if self.axis == ROW:
+            return _refusal(f"no citations were made in {line} within the window", (line,))
+        return _refusal(f"articles published in {line} received no citations in the window", (line,))
 
 
 INDICATORS = {
@@ -332,6 +363,7 @@ def rowlands_jdf(
     matrix was built from; cell counts are read from the matrix. Windows are
     clipped to the matrix spans.
     """
+    matrix = _source_matrix("rowlands_jdf", None, matrix)
     pub_clipped = (max(pub_window[0], matrix.pub_years[0]), min(pub_window[1], matrix.pub_years[1]))
     cite_clipped = (
         max(cite_window[0], matrix.cite_years[0]),

@@ -20,16 +20,19 @@ every output format.
 Each column is one :meth:`~citemetrics.metrics.Indicator.column` over the
 report's years. garfield_if is sync_if over the two prior years without
 clipping, the same request as sync_if2, so the seven columns take six
-column calls.
+column calls. The text is rendered a column at a time, each column's scale
+computed once, with the rounding of :func:`format_ratio`.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import make_dataclass
+from operator import attrgetter
 
 from .errors import UndefinedMetricError
 from .matrix import DIACHRONOUS, SYNCHRONOUS, AugmentedMatrix, PubCitMatrix, year_range
-from .metrics import INDICATORS, MetricValue
+from .metrics import INDICATORS, MetricValue, _source_matrix
 
 UNDEFINED = "x"
 
@@ -67,75 +70,82 @@ def format_ratio(numerator: int, denominator: int, precision: int) -> str:
         raise ValueError("numerator must be non-negative")
     if precision < 0:
         raise ValueError("precision must be non-negative")
-    scaled = (2 * numerator * 10**precision + denominator) // (2 * denominator)
-    if precision == 0:
-        return str(scaled)
-    digits = str(scaled).rjust(precision + 1, "0")
-    return f"{digits[:-precision]}.{digits[-precision:]}"
+    return _texts((MetricValue(numerator, denominator, ()),), precision)[0]
+
+
+def _texts(values: Iterable[MetricValue | None], precision: int) -> list[str]:
+    """Each value rendered as :func:`format_ratio` renders it, or ``x`` for
+    None, with the scale of ``precision`` computed once."""
+    scale = 2 * 10**precision
+    texts = []
+    for value in values:
+        if value is None:
+            texts.append(UNDEFINED)
+            continue
+        denominator = value.denominator
+        digits = str((scale * value.numerator + denominator) // (2 * denominator))
+        if precision:
+            digits = digits.rjust(precision + 1, "0")
+            digits = f"{digits[:-precision]}.{digits[-precision:]}"
+        texts.append(digits)
+    return texts
 
 
 def build_report(
     matrix: PubCitMatrix, sync: AugmentedMatrix, diach: AugmentedMatrix
 ) -> list[ReportRow]:
     """Compute every cell of the report, a column per distinct request;
-    undefined cells become None."""
-    years = sorted(set(year_range(matrix.pub_years)) | set(year_range(matrix.cite_years)))
+    undefined cells become None. Each source is checked, in column order,
+    before the matrix's spans are read: a wrong one raises a one-line
+    ValueError."""
     sources = {None: matrix, SYNCHRONOUS: sync, DIACHRONOUS: diach}
+    requests = {request: INDICATORS[request[0]] for _, request, _ in _COLUMNS}
+    for indicator in requests.values():
+        _source_matrix(indicator.name, indicator.variant, sources[indicator.variant])
+    years = sorted(set(year_range(matrix.pub_years)) | set(year_range(matrix.cite_years)))
     columns = {}
-    for request in dict.fromkeys(request for _, request, _ in _COLUMNS):
-        kind, window, shift, clip = request
-        indicator = INDICATORS[kind]
+    for request, indicator in requests.items():
+        _, window, shift, clip = request
         values = indicator.column(sources[indicator.variant], years, window, shift=shift, clip=clip)
         columns[request] = [None if isinstance(value, UndefinedMetricError) else value for value in values]
     return [ReportRow(*cells) for cells in zip(years, *(columns[request] for _, request, _ in _COLUMNS))]
 
 
-def _cell_text(value: MetricValue | None, precision: int) -> str:
-    if value is None:
-        return UNDEFINED
-    return format_ratio(value.numerator, value.denominator, precision)
-
-
-def _row_texts(row: ReportRow) -> list[str]:
-    return [str(row.year)] + [
-        _cell_text(getattr(row, name), precision) for name, _, precision in _COLUMNS
+def _columns(rows: list[ReportRow]) -> list[list[str]]:
+    """The text of each report column, a column at a time: the years, then
+    each indicator column at its precision."""
+    return [[str(row.year) for row in rows]] + [
+        _texts(map(attrgetter(name), rows), precision) for name, _, precision in _COLUMNS
     ]
 
 
 def render_csv(rows: list[ReportRow]) -> str:
     """CSV text: header row, LF line endings, one trailing newline."""
     lines = [",".join(COLUMN_NAMES)]
-    lines.extend(",".join(_row_texts(row)) for row in rows)
+    lines.extend(map(",".join, zip(*_columns(rows))))
     return "\n".join(lines) + "\n"
 
 
 def render_table(rows: list[ReportRow]) -> str:
     """Monospace-aligned table for terminals."""
-    grid = [list(COLUMN_NAMES)] + [_row_texts(row) for row in rows]
-    widths = [max(len(line[col]) for line in grid) for col in range(len(COLUMN_NAMES))]
-    out = []
-    for index, line in enumerate(grid):
-        out.append("  ".join(cell.rjust(width) for cell, width in zip(line, widths)))
-        if index == 0:
-            out.append("  ".join("-" * width for width in widths))
+    columns = _columns(rows)
+    widths = [max(map(len, [name, *column])) for name, column in zip(COLUMN_NAMES, columns)]
+    out = ["  ".join(map(str.rjust, COLUMN_NAMES, widths)), "  ".join("-" * width for width in widths)]
+    out.extend("  ".join(map(str.rjust, line, widths)) for line in zip(*columns))
     return "\n".join(out)
 
 
 def render_structured(rows: list[ReportRow]) -> dict:
     """JSON-ready shape keeping the exact fractions next to the rendering."""
     out_rows = []
-    for row in rows:
+    for row, _, *texts in zip(rows, *_columns(rows)):
         cells: dict = {"year": row.year}
-        for name, _, precision in _COLUMNS:
+        for (name, _, _), text in zip(_COLUMNS, texts):
             value = getattr(row, name)
             cells[name] = (
                 None
                 if value is None
-                else {
-                    "value": _cell_text(value, precision),
-                    "numerator": value.numerator,
-                    "denominator": value.denominator,
-                }
+                else {"value": text, "numerator": value.numerator, "denominator": value.denominator}
             )
         out_rows.append(cells)
     return {"columns": list(COLUMN_NAMES), "rows": out_rows}

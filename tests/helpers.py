@@ -20,7 +20,7 @@ from citemetrics.matrix import (
     augment_synchronous,
     build_pc_matrix,
 )
-from citemetrics.metrics import _line_window
+from citemetrics.metrics import _line_windows
 
 
 def journal(name: str) -> JournalId:
@@ -44,10 +44,10 @@ def build_all(events, ledger, pub_span, cite_span):
 
 
 def line_window(matrix, axis, line, start, window, clip):
-    """The window ``_line_window`` reads over ``matrix``'s span of the years
-    read, with its refusal raised."""
+    """The window ``_line_windows`` reads over ``matrix``'s span of the years
+    read for one line, with its refusal raised."""
     span = matrix.pub_years if axis == ROW else matrix.cite_years
-    cells = _line_window(axis, span, line, start, window, clip)
+    (cells,) = _line_windows(axis, span, [line], [start], window, clip)
     if isinstance(cells, UndefinedMetricError):
         raise cells
     return cells

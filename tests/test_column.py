@@ -14,7 +14,15 @@ from hypothesis import strategies as st
 from citemetrics.errors import UndefinedMetricError
 from citemetrics.matrix import ROW, year_range
 from citemetrics.metrics import INDICATORS, Indicator, MetricRequest, evaluate
-from citemetrics.report import COLUMN_NAMES, build_report
+from citemetrics.report import (
+    COLUMN_NAMES,
+    UNDEFINED,
+    build_report,
+    format_ratio,
+    render_csv,
+    render_structured,
+    render_table,
+)
 
 from helpers import augmented_matrices
 
@@ -29,6 +37,9 @@ REPORT_REQUESTS = {
     "sync_jdf_max": ("sync_jdf", None, 1, True),
     "diach_jdf_max": ("diach_jdf", None, 1, True),
 }
+
+# The decimal places of each report column, as the report documents them.
+PRECISION = {name: 3 if name == "sync_jdf_max" else 2 for name in REPORT_REQUESTS}
 
 
 def _sources(matrix, sync, diach):
@@ -140,3 +151,35 @@ def test_a_random_report_builds_a_refusal_per_undefined_cell_only(fixture):
         build_report(*fixture)
     assert len(calls) == 6
     assert all(refusals == undefined for _, refusals, undefined in calls)
+
+
+def _text(value, precision):
+    return UNDEFINED if value is None else format_ratio(value.numerator, value.denominator, precision)
+
+
+@given(augmented_matrices())
+def test_every_rendered_cell_is_its_value_at_its_column_precision(fixture):
+    """Each csv and table cell is ``format_ratio`` of its cell at the
+    column's precision, or ``x`` where undefined; each structured cell holds
+    that text and the cell's own numerator and denominator, or None."""
+    rows = build_report(*fixture)
+    texts = [[str(row.year)] + [_text(getattr(row, name), PRECISION[name]) for name in REPORT_REQUESTS] for row in rows]
+    csv = render_csv(rows)
+    assert csv.endswith("\n") and csv.count("\n") == len(rows) + 1
+    lines = csv.splitlines()
+    assert lines[0] == ",".join(COLUMN_NAMES)
+    assert [line.split(",") for line in lines[1:]] == texts
+    table = render_table(rows).splitlines()
+    assert table[0].split() == list(COLUMN_NAMES) and len(table) == len(rows) + 2
+    assert [line.split() for line in table[2:]] == texts
+    assert len({len(line) for line in table}) == 1
+    structured = render_structured(rows)
+    assert structured["columns"] == list(COLUMN_NAMES)
+    for row, cells, line in zip(rows, structured["rows"], texts, strict=True):
+        assert list(cells) == list(COLUMN_NAMES) and cells["year"] == row.year
+        for name, text in zip(REPORT_REQUESTS, line[1:]):
+            value = getattr(row, name)
+            if value is None:
+                assert cells[name] is None
+            else:
+                assert cells[name] == {"value": text, "numerator": value.numerator, "denominator": value.denominator}

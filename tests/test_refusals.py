@@ -8,6 +8,7 @@ change to how the indicators are put together.
 import pytest
 
 from citemetrics.errors import UndefinedMetricError
+from citemetrics.fixture import save_fixture, to_document
 from citemetrics.ingest import PublicationLedger
 from citemetrics.metrics import (
     INDICATORS,
@@ -17,6 +18,7 @@ from citemetrics.metrics import (
     diach_rdf,
     evaluate,
     garfield_if,
+    rowlands_jdf,
     sync_if,
     sync_jdf,
     sync_rdf,
@@ -282,3 +284,46 @@ def test_a_request_refuses_swapped_augmentations(mjm):
     assert _source_refusal(evaluate, request, mjm.matrix, mjm.diach, mjm.sync) == (
         "this metric needs the diachronous augmentation, got synchronous"
     )
+
+
+@pytest.mark.parametrize(
+    ("matrix", "sync", "diach", "text"),
+    [
+        ("sync", None, None, "to_document needs the citation matrix"),
+        ("diach", "sync", "diach", "to_document needs the citation matrix"),
+        (None, None, None, "to_document needs the citation matrix"),
+        ("matrix", "matrix", None, "to_document needs the synchronous augmented matrix"),
+        ("matrix", None, "matrix", "to_document needs the diachronous augmented matrix"),
+        ("matrix", "sync", "matrix", "to_document needs the diachronous augmented matrix"),
+        ("matrix", "diach", None, "sync argument must carry the synchronous variant"),
+        ("matrix", None, "sync", "diach argument must carry the diachronous variant"),
+    ],
+)
+def test_a_fixture_document_refuses_a_wrong_source(mjm, tmp_path, matrix, sync, diach, text):
+    """Through ``to_document`` and ``save_fixture``, which writes nothing."""
+    sources = (_source(mjm, matrix), _source(mjm, sync), _source(mjm, diach))
+    assert _source_refusal(to_document, *sources) == text
+    assert _source_refusal(save_fixture, tmp_path / "out.json", *sources) == text
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("given", [None, "sync", "diach"])
+def test_rowlands_refuses_anything_but_the_citation_matrix(mjm, given):
+    text = _source_refusal(rowlands_jdf, [], _source(mjm, given), (2004, 2005), (2004, 2006))
+    assert text == "rowlands_jdf needs the citation matrix"
+
+
+@pytest.mark.parametrize(
+    ("matrix", "sync", "diach", "text"),
+    [
+        ("sync", "sync", "diach", "sync_if needs the citation matrix"),
+        ("diach", "sync", "diach", "sync_if needs the citation matrix"),
+        (None, "sync", "diach", "sync_if needs the citation matrix"),
+        ("sync", None, None, "sync_if needs the citation matrix"),
+        ("matrix", "matrix", "matrix", "sync_rdf needs the synchronous augmented matrix"),
+        ("matrix", "sync", "matrix", "diach_rdf needs the diachronous augmented matrix"),
+    ],
+)
+def test_a_report_checks_every_source_before_reading_the_matrix(mjm, matrix, sync, diach, text):
+    sources = (_source(mjm, matrix), _source(mjm, sync), _source(mjm, diach))
+    assert _source_refusal(build_report, *sources) == text

@@ -29,7 +29,7 @@ from citemetrics.matrix import (
     matrix_from_counts,
     year_range,
 )
-from citemetrics.metrics import MetricRequest, evaluate, sync_if
+from citemetrics.metrics import MetricRequest, diach_if, evaluate, sync_if
 
 from helpers import line_window, runs_text
 
@@ -329,6 +329,54 @@ def test_every_window_sums_as_its_cells_read_one_by_one(maps, data):
                     window = Window(axis, line, years)
                     assert source.window_sum(window) == sum(values.get(cell, 0) for cell in window)
 
+
+def windows_along(rng, axis, line_span, span):
+    """Up to a dozen windows along ``axis``: each line from one year before
+    the line span to one after it, so lines with no stored cell come up, and
+    each window's years a run, ascending or descending and possibly empty,
+    from one year before the span to one after it."""
+    (line_lo, line_hi), (lo, hi) = line_span, span
+    windows = []
+    for _ in range(rng.randint(0, 12)):
+        line = rng.randint(line_lo - 1, line_hi + 1)
+        first, last = sorted((rng.randint(lo - 1, hi + 1), rng.randint(lo - 1, hi + 1)))
+        if rng.random() < 0.5:
+            windows.append(Window(axis, line, range(first, last + rng.randint(0, 1))))
+        else:
+            windows.append(Window(axis, line, range(last, first - rng.randint(0, 1), -1)))
+    return windows
+
+
+@given(summed_maps(), st.integers(0, 2**32 - 1))
+def test_a_list_of_windows_sums_as_each_window_read_one_by_one(maps, seed):
+    """The running totals of each map sum a whole list of windows on one
+    axis in one call, the empty list included: each entry equals that
+    window's cells read one by one."""
+    matrix, sync, diach = maps
+    rng = random.Random(seed)
+    for source, values in ((matrix, matrix.citations), (sync, sync.unique_new), (diach, diach.unique_new)):
+        for axis, line_span, span in (
+            (ROW, matrix.cite_years, matrix.pub_years),
+            (COLUMN, matrix.pub_years, matrix.cite_years),
+        ):
+            windows = windows_along(rng, axis, line_span, span)
+            expected = [sum(values.get(cell, 0) for cell in window) for window in windows]
+            assert source._totals.sums(axis, windows) == expected
+            assert source._totals.sums(axis, []) == []
+
+
+def test_an_unclipped_column_over_a_span_longer_than_sys_maxsize():
+    """A window cut by nothing is told from one the span cuts by its ends,
+    never by its length, which may not fit in a C integer."""
+    ledger = PublicationLedger({2004: 1})
+    matrix = matrix_from_counts({(2004, 2004): 3, (10**30, 2004): 2}, ledger, (2004, 2004), (2004, 10**30))
+    whole = diach_if(matrix, 2004, 10**30 - 2003, shift=0, clip=False)
+    assert (whole.numerator, whole.denominator) == (5, 1)
+    assert (whole.effective_window[0], whole.effective_window[-1]) == ((2004, 2004), (10**30, 2004))
+    with pytest.raises(UndefinedMetricError) as err:
+        diach_if(matrix, 2004, 10**30 - 2002, shift=0, clip=False)
+    assert err.value.missing_years == (10**30 + 1,)
+    assert str(err.value) == f"citation years {10**30 + 1} are outside 2004-{10**30} and clipping is off"
 
 # The stored cells of the line-index examples, as (line, year along the
 # line). Lines 2002, 2004 and 2005 hold cells; 2000 and 2008, the ends of
