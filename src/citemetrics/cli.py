@@ -65,7 +65,6 @@ def build_parser() -> argparse.ArgumentParser:
     ingest.add_argument("--cites", required=True, help="citations CSV")
     ingest.add_argument("--aliases", help="journal alias CSV: raw,canonical")
     ingest.add_argument("--matrix", required=True, help="fixture file to write")
-    ingest.set_defaults(func=cmd_ingest)
 
     metric = sub.add_parser("metric", help="evaluate one indicator")
     metric.add_argument("--matrix", required=True, help="fixture file to read")
@@ -82,12 +81,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--precision", type=_integer, default=2, help=f"decimal places in the rendering (0 to {MAX_PRECISION})"
     )
     metric.add_argument("--format", choices=("text", "structured"), default="text")
-    metric.set_defaults(func=cmd_metric)
 
     report = sub.add_parser("report", help="render the seven-column indicator report")
     report.add_argument("--matrix", required=True, help="fixture file to read")
     report.add_argument("--format", choices=("table", "csv", "structured"), default="table")
-    report.set_defaults(func=cmd_report)
 
     return parser
 
@@ -260,7 +257,8 @@ def main(argv=None) -> int:
         except SystemExit as exc:
             return int(exc.code or 0)
         try:
-            return args.func(args)
+            # Looked up at call time: a handler replaced on this module takes effect.
+            return globals()[f"cmd_{args.command}"](args)
         except (ParseError, OSError) as exc:
             print(f"citemetrics: error: {exc}", file=sys.stderr)
             return EXIT_USAGE

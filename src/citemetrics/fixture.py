@@ -206,8 +206,8 @@ def to_document(
 ) -> dict:
     """Serialize matrices into the fixture document shape. ``matrix`` must
     be a citation matrix and ``sync`` and ``diach``, when given, the
-    augmentations of their variants: anything else raises a one-line
-    ValueError."""
+    augmentations of their variants built from it: anything else raises a
+    one-line ValueError."""
     _source_matrix("to_document", None, matrix)
     doc: dict[str, Any] = {
         "pub_years": list(matrix.pub_years),
@@ -223,6 +223,8 @@ def to_document(
                 raise ValueError(f"{argument} argument must carry the {variant} variant")
             _source_matrix("to_document", variant, augmented)
             doc[field] = _triple_list(augmented.unique_new)
+    for augmented in filter(None, (sync, diach)):
+        _source_matrix("to_document", augmented.variant, augmented, matrix)
     return doc
 
 

@@ -261,9 +261,6 @@ class PublicationLedger:
             return None
         return (min(self.counts), max(self.counts))
 
-    def count(self, year: int) -> int:
-        return self.counts[year]
-
     def total(self, years: Iterable[int]) -> int:
         """Articles published over ``years``, each of which must be in the
         ledger (KeyError otherwise). A range of consecutive ledger years is
@@ -272,13 +269,13 @@ class PublicationLedger:
         if isinstance(years, range) and years and years.step in (1, -1):
             first, cumulative = self._cumulative
             if first <= min(years[0], years[-1]) and max(years[0], years[-1]) < first + len(cumulative) - 1:
-                return self.totals((years,))[0]
+                return self._totals((years,))[0]
         return sum(map(self.counts.__getitem__, years))
 
-    def totals(self, runs: Iterable[range]) -> list[int]:
-        """Articles published over each of ``runs``, each a non-empty range
-        of consecutive ledger years, ascending or descending, with the
-        cumulative list read once: two reads a run."""
+    def _totals(self, runs: Iterable[range]) -> list[int]:
+        """Articles published over each of ``runs``, non-empty ranges of
+        consecutive years in either direction: two reads a run from the
+        cumulative list. Every run must lie inside the ledger; past it, a sum is wrong."""
         first, cumulative = self._cumulative
         out = []
         for run in runs:
@@ -357,7 +354,7 @@ class PubCitMatrix:
         lo, hi = self.pub_years
         if not lo <= year <= hi:
             raise ValueError(f"{year} is outside the publication years {self.pub_years}")
-        return self.publications.count(year)
+        return self.publications.counts[year]
 
     def column_total(self, pub_year: int) -> int:
         """All citations received by one publication year."""

@@ -75,7 +75,7 @@ class MetricValue:
 
 @dataclass(frozen=True)
 class MetricRequest:
-    """A single indicator request, as the CLI and report layer express it."""
+    """A single indicator request, as ``evaluate`` and the CLI take it."""
 
     kind: str
     year: int
@@ -96,25 +96,25 @@ def _check_window(window: int | None) -> None:
         raise ValueError("window must be a positive number of years (or None for max)")
 
 
-def _refusal(message: str, missing: Sequence[int] = ()) -> UndefinedMetricError:
-    """The refusal of an undefined request, built and not raised."""
-    return UndefinedMetricError(message, missing if isinstance(missing, YearRuns) else tuple(missing))
-
-
 def _outside(year: int, span: YearSpan, what: str) -> UndefinedMetricError:
     """The refusal of a line year outside its span."""
-    return _refusal(f"{year} is outside the {what} years {span[0]}-{span[1]}", (year,))
+    return UndefinedMetricError(f"{year} is outside the {what} years {span[0]}-{span[1]}", (year,))
 
 
-def _source_matrix(kind: str, variant: str | None, source: PubCitMatrix | AugmentedMatrix | None) -> PubCitMatrix:
+def _source_matrix(
+    kind: str, variant: str | None, source: PubCitMatrix | AugmentedMatrix | None, matrix: PubCitMatrix | None = None
+) -> PubCitMatrix:
     """The matrix ``kind`` reads through ``source``: the citation matrix itself
-    if ``variant`` is None, else its ``variant`` augmentation. Any other
-    source, None included, raises a one-line ValueError."""
+    if ``variant`` is None, else its ``variant`` augmentation, built from
+    ``matrix`` if one is given: that object or, failing that, an equal one.
+    Any other source, None included, raises a one-line ValueError."""
     if variant is None and isinstance(source, PubCitMatrix):
         return source
     if variant is not None and isinstance(source, AugmentedMatrix):
         if source.variant != variant:
             raise ValueError(f"this metric needs the {variant} augmentation, got {source.variant}")
+        if matrix is not None and source.base is not matrix and source.base != matrix:
+            raise ValueError(f"{kind}: the {variant} augmentation was built from another matrix")
         return source.base
     raise ValueError(f"{kind} needs the {'citation' if variant is None else f'{variant} augmented'} matrix")
 
@@ -169,16 +169,16 @@ def _window_refusal(axis: str, span: YearSpan, start: int, window: int | None, c
     else:
         step, what, side = 1, "citation", "after"
     if window is None:
-        return _refusal(f"no {what} years at or {side} {start} in {lo}-{hi}", YearRuns(range(start, start + 1)))
+        return UndefinedMetricError(f"no {what} years at or {side} {start} in {lo}-{hi}", YearRuns(range(start, start + 1)))
     w_lo, w_hi = (start - window + 1, start) if step < 0 else (start, start + window - 1)
     if clip:
-        return _refusal(
+        return UndefinedMetricError(
             f"window {w_lo}-{w_hi} has no overlap with {what} years {lo}-{hi}",
             YearRuns(_years(w_lo, w_hi, step)),
         )
     below, above = _years(w_lo, min(w_hi, lo - 1), step), _years(max(w_lo, hi + 1), w_hi, step)
     missing = YearRuns(below, above) if step > 0 else YearRuns(above, below)
-    return _refusal(f"{what} years {missing} are outside {lo}-{hi} and clipping is off", missing)
+    return UndefinedMetricError(f"{what} years {missing} are outside {lo}-{hi} and clipping is off", missing)
 
 
 @dataclass(frozen=True)
@@ -261,7 +261,7 @@ class Indicator:
             if not line_lo <= year <= line_hi:
                 column.append(_outside(year, line_span, what))
             elif per_article and counts[year] == 0:
-                column.append(_refusal(f"no articles were published in {year}", (year,)))
+                column.append(UndefinedMetricError(f"no articles were published in {year}", (year,)))
             else:
                 column.append(None)
                 lines.append(year)
@@ -273,7 +273,7 @@ class Indicator:
         if relative:
             denominators = matrix._totals.sums(axis, cells)
         elif axis == ROW:
-            denominators = ledger.totals([found.years for found in cells])
+            denominators = ledger._totals([found.years for found in cells])
         else:
             denominators = [counts[found.line] for found in cells]
         values = iter(
@@ -289,10 +289,10 @@ class Indicator:
         line = cells.line
         if not self.relative:
             missing = YearRuns(cells.years)
-            return _refusal(f"no articles were published in {missing}", missing)
+            return UndefinedMetricError(f"no articles were published in {missing}", missing)
         if self.axis == ROW:
-            return _refusal(f"no citations were made in {line} within the window", (line,))
-        return _refusal(f"articles published in {line} received no citations in the window", (line,))
+            return UndefinedMetricError(f"no citations were made in {line} within the window", (line,))
+        return UndefinedMetricError(f"articles published in {line} received no citations in the window", (line,))
 
 
 INDICATORS = {
@@ -337,14 +337,14 @@ def garfield_if(matrix: PubCitMatrix, year: int) -> MetricValue:
     if missing:
         # Two adjacent years outside one span: the years missed form one run.
         runs = YearRuns(range(missing[0], missing[-1] - 1, -1))
-        raise _refusal(
+        raise UndefinedMetricError(
             f"impact factor for {year} needs publications in {year - 2} and {year - 1}; "
             f"{runs} outside {pub_lo}-{pub_hi}",
             runs,
         )
     denominator = matrix.pub(year - 1) + matrix.pub(year - 2)
     if denominator == 0:
-        raise _refusal(f"no articles were published in {year - 2}-{year - 1}", prior)
+        raise UndefinedMetricError(f"no articles were published in {year - 2}-{year - 1}", tuple(prior))
     cells = Window(ROW, year, prior)
     return MetricValue(matrix.window_sum(cells), denominator, cells)
 
@@ -370,12 +370,12 @@ def rowlands_jdf(
         min(cite_window[1], matrix.cite_years[1]),
     )
     if pub_clipped[0] > pub_clipped[1] or cite_clipped[0] > cite_clipped[1]:
-        raise _refusal("the requested block has no overlap with the matrix year spans")
+        raise UndefinedMetricError("the requested block has no overlap with the matrix year spans")
     cells = tuple((k, i) for k in year_range(cite_clipped) for i in year_range(pub_clipped))
     rows = (Window(ROW, k, year_range(pub_clipped)) for k in year_range(cite_clipped))
     denominator = sum(map(matrix.window_sum, rows))
     if denominator == 0:
-        raise _refusal("no citations fall inside the block")
+        raise UndefinedMetricError("no citations fall inside the block")
     numerator = 100 * distinct_journals_block(events, pub_clipped, cite_clipped)
     return MetricValue(numerator, denominator, cells)
 
@@ -392,4 +392,5 @@ def evaluate(
     if indicator is None:
         raise ValueError("rowlands_jdf works on citation events; call rowlands_jdf() directly")
     source = {None: matrix, SYNCHRONOUS: sync, DIACHRONOUS: diach}[indicator.variant]
+    _source_matrix(indicator.name, indicator.variant, source, matrix)
     return indicator(source, request.year, request.window, shift=request.shift, clip=request.clip)

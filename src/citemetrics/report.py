@@ -95,13 +95,14 @@ def build_report(
     matrix: PubCitMatrix, sync: AugmentedMatrix, diach: AugmentedMatrix
 ) -> list[ReportRow]:
     """Compute every cell of the report, a column per distinct request;
-    undefined cells become None. Each source is checked, in column order,
-    before the matrix's spans are read: a wrong one raises a one-line
-    ValueError."""
+    undefined cells become None. Each source, in column order, and then each
+    augmentation's matrix is checked before the spans are read: a wrong one
+    raises a one-line ValueError."""
     sources = {None: matrix, SYNCHRONOUS: sync, DIACHRONOUS: diach}
     requests = {request: INDICATORS[request[0]] for _, request, _ in _COLUMNS}
-    for indicator in requests.values():
-        _source_matrix(indicator.name, indicator.variant, sources[indicator.variant])
+    for base in (None, matrix):
+        for indicator in requests.values():
+            _source_matrix(indicator.name, indicator.variant, sources[indicator.variant], base)
     years = sorted(set(year_range(matrix.pub_years)) | set(year_range(matrix.cite_years)))
     columns = {}
     for request, indicator in requests.items():

@@ -5,7 +5,7 @@ import tracemalloc
 
 import pytest
 
-from citemetrics.cli import main
+from citemetrics.cli import build_parser, main
 from citemetrics.fixture import load_document, load_fixture
 from citemetrics.metrics import REQUEST_KINDS
 
@@ -396,6 +396,34 @@ class TestUsage:
     def test_help_exits_0(self, capsys):
         assert main(["--help"]) == 0
         assert "ingest" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["ingest", "--pubs", "p.csv", "--cites", "c.csv", "--matrix", "m.json"],
+            ["metric", "--matrix", "m.json", "--kind", "sync_if", "--year", "2006"],
+            ["report", "--matrix", "m.json"],
+        ],
+    )
+    def test_a_parsed_command_carries_its_name_and_no_handler(self, argv):
+        """``main`` finds the handler by the command's name when it runs."""
+        args = build_parser().parse_args(argv)
+        assert args.command == argv[0]
+        assert "func" not in vars(args)
+
+    @pytest.mark.parametrize("command", ["metric", "report"])
+    def test_a_command_help_exits_0(self, command, capsys):
+        assert main([command, "--help"]) == 0
+        captured = capsys.readouterr()
+        assert captured.out.startswith(f"usage: citemetrics {command} [-h] --matrix MATRIX")
+        assert captured.err == ""
+
+    def test_a_missing_required_option_exits_1_with_the_usage(self, capsys):
+        assert main(["report"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("usage: citemetrics report [-h] --matrix MATRIX")
+        assert captured.err.endswith("\ncitemetrics report: error: the following arguments are required: --matrix\n")
 
 
 def test_round_trip_ingest_then_report(corpus, capsys):

@@ -341,6 +341,18 @@ class TestPublicationLedger:
                 assert ledger.total(years) == sum(plain[year] for year in years)
         assert counts.reads == 0
 
+    @pytest.mark.parametrize(
+        "years",
+        [range(2001, 2003), range(2002, 2005), range(2003, 2001, -1), range(2000, 2001), range(2010, 2012)],
+    )
+    def test_a_run_reaching_past_the_ledger_is_refused(self, years):
+        """A run of years the ledger does not hold raises KeyError, even
+        once the cumulative list that sums runs inside it is built."""
+        ledger = PublicationLedger({2004: 3, 2005: 4, 2006: 5, 2007: 6, 2008: 7})
+        assert ledger.total(range(2004, 2009)) == 25
+        with pytest.raises(KeyError):
+            ledger.total(years)
+
     def test_journal_identity_ignores_alias_set(self):
         assert JournalId("gut", frozenset({"Gut"})) == JournalId("gut", frozenset({"GUT."}))
         assert len({JournalId("gut", frozenset({"Gut"})), JournalId("gut")}) == 1

@@ -5,11 +5,15 @@ CLI prints and what a library caller inspects, so they must survive any
 change to how the indicators are put together.
 """
 
+from operator import attrgetter
+from types import SimpleNamespace
+
 import pytest
 
 from citemetrics.errors import UndefinedMetricError
-from citemetrics.fixture import save_fixture, to_document
+from citemetrics.fixture import MatrixFixture, load_document, save_fixture, to_document
 from citemetrics.ingest import PublicationLedger
+from citemetrics.matrix import year_range
 from citemetrics.metrics import (
     INDICATORS,
     MetricRequest,
@@ -327,3 +331,88 @@ def test_rowlands_refuses_anything_but_the_citation_matrix(mjm, given):
 def test_a_report_checks_every_source_before_reading_the_matrix(mjm, matrix, sync, diach, text):
     sources = (_source(mjm, matrix), _source(mjm, sync), _source(mjm, diach))
     assert _source_refusal(build_report, *sources) == text
+
+
+
+# Other citations over the bundled fixture's spans, and over wider spans like
+# those of a benchmark fixture: a matrix whose augmentations must not be
+# given with the bundled fixture's, nor its matrix with theirs.
+_OTHER = {
+    "same spans": ([ev("A", 2006, 2005), ev("B", 2007, 2006)], (2004, 2008), (2004, 2010)),
+    "wider spans": ([ev("A", 2006, 1995), ev("B", 2008, 2006)], (1990, 2019), (1990, 2021)),
+}
+
+
+@pytest.fixture(scope="module", params=sorted(_OTHER))
+def other(request):
+    events, pub_span, cite_span = _OTHER[request.param]
+    ledger = PublicationLedger(dict.fromkeys(year_range(pub_span), 3))
+    return MatrixFixture(*build_all(events, ledger, pub_span, cite_span))
+
+
+def _given(mjm, other, names):
+    """The source each of ``names`` names, as ``mjm.<field>`` or
+    ``other.<field>``, or None."""
+    both = SimpleNamespace(mjm=mjm, other=other)
+    return [None if name is None else attrgetter(name)(both) for name in names]
+
+
+_SYNC_ELSEWHERE = "the synchronous augmentation was built from another matrix"
+_DIACH_ELSEWHERE = "the diachronous augmentation was built from another matrix"
+
+
+@pytest.mark.parametrize(
+    ("names", "text"),
+    [
+        (("mjm.matrix", "other.sync", "mjm.diach"), f"sync_rdf: {_SYNC_ELSEWHERE}"),
+        (("mjm.matrix", "mjm.sync", "other.diach"), f"diach_rdf: {_DIACH_ELSEWHERE}"),
+        (("mjm.matrix", "other.sync", "other.diach"), f"sync_rdf: {_SYNC_ELSEWHERE}"),
+        (("other.matrix", "mjm.sync", "mjm.diach"), f"sync_rdf: {_SYNC_ELSEWHERE}"),
+        # Every source's type is named before any augmentation's matrix.
+        (("mjm.matrix", "other.sync", "mjm.sync"), "this metric needs the diachronous augmentation, got synchronous"),
+        (("mjm.matrix", "other.sync", None), "diach_rdf needs the diachronous augmented matrix"),
+        (("other.sync", "other.sync", "mjm.diach"), "sync_if needs the citation matrix"),
+    ],
+)
+def test_a_report_refuses_an_augmentation_of_another_matrix(mjm, other, names, text):
+    assert _source_refusal(build_report, *_given(mjm, other, names)) == text
+
+
+@pytest.mark.parametrize("kind", ["sync_jdf", "diach_jdf", "sync_rdf", "diach_rdf"])
+def test_a_request_refuses_an_augmentation_of_another_matrix(mjm, other, kind):
+    variant = INDICATORS[kind].variant
+    text = f"{kind}: the {variant} augmentation was built from another matrix"
+    for window in (None, 1):
+        request = MetricRequest(kind, 2008, window)
+        assert _source_refusal(evaluate, request, mjm.matrix, other.sync, other.diach) == text
+        assert _source_refusal(evaluate, request, other.matrix, mjm.sync, mjm.diach) == text
+
+
+@pytest.mark.parametrize(
+    ("names", "text"),
+    [
+        (("mjm.matrix", "other.sync", None), f"to_document: {_SYNC_ELSEWHERE}"),
+        (("mjm.matrix", None, "other.diach"), f"to_document: {_DIACH_ELSEWHERE}"),
+        (("mjm.matrix", "mjm.sync", "other.diach"), f"to_document: {_DIACH_ELSEWHERE}"),
+        (("other.matrix", "mjm.sync", "mjm.diach"), f"to_document: {_SYNC_ELSEWHERE}"),
+        # Every source's type and variant are named before any augmentation's matrix.
+        (("mjm.matrix", "other.sync", "mjm.matrix"), "to_document needs the diachronous augmented matrix"),
+        (("mjm.matrix", "other.sync", "mjm.sync"), "diach argument must carry the diachronous variant"),
+    ],
+)
+def test_a_fixture_document_refuses_an_augmentation_of_another_matrix(mjm, other, tmp_path, names, text):
+    """Through ``to_document`` and ``save_fixture``, which writes nothing."""
+    sources = _given(mjm, other, names)
+    assert _source_refusal(to_document, *sources) == text
+    assert _source_refusal(save_fixture, tmp_path / "out.json", *sources) == text
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_an_augmentation_is_accepted_with_an_equal_rebuilt_matrix(mjm):
+    rebuilt = load_document(to_document(mjm.matrix, mjm.sync, mjm.diach)).matrix
+    assert rebuilt is not mjm.matrix and rebuilt == mjm.matrix
+    assert build_report(rebuilt, mjm.sync, mjm.diach) == build_report(mjm.matrix, mjm.sync, mjm.diach)
+    assert to_document(rebuilt, mjm.sync, mjm.diach) == to_document(mjm.matrix, mjm.sync, mjm.diach)
+    for kind in ("sync_jdf", "diach_jdf", "sync_rdf", "diach_rdf"):
+        request = MetricRequest(kind, 2006, None)
+        assert evaluate(request, rebuilt, mjm.sync, mjm.diach) == evaluate(request, mjm.matrix, mjm.sync, mjm.diach)
