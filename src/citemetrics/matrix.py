@@ -356,14 +356,6 @@ class PubCitMatrix:
             raise ValueError(f"{year} is outside the publication years {self.pub_years}")
         return self.publications.counts[year]
 
-    def column_total(self, pub_year: int) -> int:
-        """All citations received by one publication year."""
-        return self.window_sum(Window(COLUMN, pub_year, year_range(self.cite_years)))
-
-    def row_total(self, citation_year: int) -> int:
-        """All citations given in one citation year."""
-        return self.window_sum(Window(ROW, citation_year, year_range(self.pub_years)))
-
 
 @dataclass(frozen=True)
 class AugmentedMatrix:

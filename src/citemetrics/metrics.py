@@ -13,6 +13,9 @@ Window conventions, shared by the whole family:
   computes over what remains; ``clip=False`` insists on every requested year
   and raises :class:`UndefinedMetricError` when one is missing.
 
+Every window's years, and the years an undefined one misses, come from
+:func:`_line_windows`, which ``garfield_if`` reads too.
+
 The impact factors look *backwards* from a citation year at the publications
 of the preceding years, while the diachronous family looks *forwards* from a
 publication year at the citations it accumulates. Diffusion factors divide
@@ -119,12 +122,6 @@ def _source_matrix(
     raise ValueError(f"{kind} needs the {'citation' if variant is None else f'{variant} augmented'} matrix")
 
 
-def _years(first: int, last: int, step: int) -> range:
-    """Years ``first`` to ``last`` (none if first > last), ascending for step
-    1 and descending for step -1."""
-    return range(first, last + 1) if step > 0 else range(last, first - 1, -1)
-
-
 def _line_windows(
     axis: str, span: YearSpan, lines: Sequence[int], starts: Sequence[int], window: int | None, clip: bool
 ) -> list[Window | UndefinedMetricError]:
@@ -154,15 +151,17 @@ def _line_windows(
     return [
         Window(axis, line, run)
         if run and not (whole and (run[0] != start or run[-1] != end))
-        else _window_refusal(axis, span, start, window, clip)
+        else _window_refusal(axis, span, start, end, run, window, clip)
         for line, start, end, run in zip(lines, starts, ends, runs)
     ]
 
 
-def _window_refusal(axis: str, span: YearSpan, start: int, window: int | None, clip: bool) -> UndefinedMetricError:
-    """The refusal of the undefined window from ``start``, as
-    :func:`_line_windows` reads it. The years it misses are at most two
-    runs, one beyond each end of the span."""
+def _window_refusal(
+    axis: str, span: YearSpan, start: int, end: int, run: range, window: int | None, clip: bool
+) -> UndefinedMetricError:
+    """The refusal of the undefined window from ``start`` to ``end``, cut to
+    the span as ``run``, as :func:`_line_windows` computes them. It misses
+    the years before ``run`` and those after it, one run beyond each end."""
     lo, hi = span
     if axis == ROW:
         step, what, side = -1, "publication", "before"
@@ -170,14 +169,11 @@ def _window_refusal(axis: str, span: YearSpan, start: int, window: int | None, c
         step, what, side = 1, "citation", "after"
     if window is None:
         return UndefinedMetricError(f"no {what} years at or {side} {start} in {lo}-{hi}", YearRuns(range(start, start + 1)))
-    w_lo, w_hi = (start - window + 1, start) if step < 0 else (start, start + window - 1)
+    years = YearRuns(range(start, end + step, step))
     if clip:
-        return UndefinedMetricError(
-            f"window {w_lo}-{w_hi} has no overlap with {what} years {lo}-{hi}",
-            YearRuns(_years(w_lo, w_hi, step)),
-        )
-    below, above = _years(w_lo, min(w_hi, lo - 1), step), _years(max(w_lo, hi + 1), w_hi, step)
-    missing = YearRuns(below, above) if step > 0 else YearRuns(above, below)
+        first, last = sorted((start, end))
+        return UndefinedMetricError(f"window {first}-{last} has no overlap with {what} years {lo}-{hi}", years)
+    missing = YearRuns(range(start, run[0], step), range(run[-1] + step, end + step, step)) if run else years
     return UndefinedMetricError(f"{what} years {missing} are outside {lo}-{hi} and clipping is off", missing)
 
 
@@ -325,27 +321,23 @@ KINDS = (*REQUEST_KINDS, "rowlands_jdf")
 
 def garfield_if(matrix: PubCitMatrix, year: int) -> MetricValue:
     """Classic two-year impact factor: citations in ``year`` to the two prior
-    years' articles, divided by those years' article counts. No clipping;
-    both prior years must exist."""
+    years' articles, divided by those years' article counts: the unclipped
+    two-year ``sync_if`` window, refused where it is, in its own words."""
     matrix = _source_matrix("garfield_if", None, matrix)
-    cite_lo, cite_hi = matrix.cite_years
+    (cite_lo, cite_hi), (pub_lo, pub_hi) = matrix.cite_years, matrix.pub_years
     if not cite_lo <= year <= cite_hi:
         raise _outside(year, matrix.cite_years, "citation")
-    pub_lo, pub_hi = matrix.pub_years
-    prior = range(year - 1, year - 3, -1)
-    missing = [y for y in prior if not pub_lo <= y <= pub_hi]
-    if missing:
-        # Two adjacent years outside one span: the years missed form one run.
-        runs = YearRuns(range(missing[0], missing[-1] - 1, -1))
+    (cells,) = _line_windows(ROW, matrix.pub_years, (year,), (year - 1,), 2, False)
+    if isinstance(cells, UndefinedMetricError):
+        missing = cells.missing_years
         raise UndefinedMetricError(
             f"impact factor for {year} needs publications in {year - 2} and {year - 1}; "
-            f"{runs} outside {pub_lo}-{pub_hi}",
-            runs,
+            f"{missing} outside {pub_lo}-{pub_hi}",
+            missing,
         )
-    denominator = matrix.pub(year - 1) + matrix.pub(year - 2)
+    denominator = matrix.publications.total(cells.years)
     if denominator == 0:
-        raise UndefinedMetricError(f"no articles were published in {year - 2}-{year - 1}", tuple(prior))
-    cells = Window(ROW, year, prior)
+        raise UndefinedMetricError(f"no articles were published in {year - 2}-{year - 1}", tuple(cells.years))
     return MetricValue(matrix.window_sum(cells), denominator, cells)
 
 

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from citemetrics.errors import UndefinedMetricError
 from citemetrics.matrix import ROW, year_range
-from citemetrics.metrics import INDICATORS, Indicator, MetricRequest, evaluate
+from citemetrics.metrics import INDICATORS, Indicator, MetricRequest, evaluate, garfield_if, sync_if
 from citemetrics.report import (
     COLUMN_NAMES,
     UNDEFINED,
@@ -106,6 +106,26 @@ def test_a_report_cell_is_its_request_evaluated(fixture):
                 assert got is None, (name, row.year)
             else:
                 _same(got, expected)
+
+
+@given(augmented_matrices())
+def test_garfield_if_refuses_and_sums_as_unclipped_sync_if_at_window_2(fixture):
+    """Over years two past each end of the citation span, ``garfield_if``
+    has the numerator, denominator and cells of the unclipped two-year
+    ``sync_if``, or both refuse, missing the same years."""
+    matrix = fixture[0]
+    cite_lo, cite_hi = matrix.cite_years
+    for year in range(cite_lo - 2, cite_hi + 3):
+        expected = _alone(sync_if, matrix, year, 2, 1, False)
+        try:
+            got = garfield_if(matrix, year)
+        except UndefinedMetricError as err:
+            assert isinstance(expected, UndefinedMetricError), year
+            assert err.missing_years == expected.missing_years, year
+        else:
+            assert not isinstance(expected, UndefinedMetricError), year
+            assert (got.numerator, got.denominator) == (expected.numerator, expected.denominator)
+            assert got.effective_window == expected.effective_window
 
 
 def _counting(monkeypatch):

@@ -15,6 +15,7 @@ from citemetrics import fixture
 from citemetrics.errors import FixtureError
 from citemetrics.fixture import load_document, load_fixture, save_fixture, to_document
 from citemetrics.ingest import MAX_COUNT, PublicationLedger
+from citemetrics.matrix import COLUMN, ROW, Window
 
 from conftest import DATA
 from helpers import build_all, ev, loadable_documents
@@ -454,8 +455,8 @@ def test_bundled_dataset_loads(mjm):
     assert mjm.matrix.cit(2009, 2006) == 87
     assert mjm.sync.unique(2009, 2006) == 77
     assert mjm.diach.unique(2010, 2004) == 11
-    assert mjm.matrix.column_total(2004) == 409
-    assert mjm.matrix.row_total(2009) == 310
+    assert mjm.matrix.window_sum(Window(COLUMN, 2004, range(2004, 2011))) == 409
+    assert mjm.matrix.window_sum(Window(ROW, 2009, range(2004, 2009))) == 310
 
 
 @pytest.mark.parametrize(

@@ -71,9 +71,9 @@ def test_empty_span_rejected():
 def test_row_and_column_totals():
     events = [ev("a", 2005, 2004, "c1"), ev("b", 2005, 2005, "c2"), ev("c", 2006, 2005, "c3")]
     m = build_pc_matrix(events, LEDGER_2004_2006, (2004, 2006), (2004, 2006))
-    assert m.row_total(2005) == 2
-    assert m.column_total(2005) == 2
-    assert m.column_total(2006) == 0
+    assert m.window_sum(Window(ROW, 2005, range(2004, 2007))) == 2
+    assert m.window_sum(Window(COLUMN, 2005, range(2004, 2007))) == 2
+    assert m.window_sum(Window(COLUMN, 2006, range(2004, 2007))) == 0
 
 
 def test_cell_access_outside_grid_raises():

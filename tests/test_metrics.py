@@ -6,7 +6,7 @@ import pytest
 from citemetrics import metrics
 from citemetrics.errors import UndefinedMetricError
 from citemetrics.ingest import PublicationLedger
-from citemetrics.matrix import COLUMN, ROW, year_range
+from citemetrics.matrix import COLUMN, ROW, Window, year_range
 from citemetrics.metrics import (
     INDICATORS,
     MetricRequest,
@@ -362,7 +362,7 @@ class TestRowlands:
         m, _, diach = build_all(
             events, PublicationLedger({2006: 104}), (2006, 2006), (2006, 2010)
         )
-        assert m.column_total(2006) == 253
+        assert m.window_sum(Window(COLUMN, 2006, range(2006, 2011))) == 253
         v = rowlands_jdf(events, m, (2006, 2006), (2006, 2010))
         assert (v.numerator, v.denominator) == (100 * 206, 253)
         assert v.value == 100 * diach_rdf(diach, 2006, None).value
