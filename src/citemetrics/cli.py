@@ -21,7 +21,7 @@ from .errors import FixtureError, ParseError, UndefinedMetricError
 from .fixture import _UNIQUE_BLOCKS, load_fixture, save_fixture
 from .matrix import DIACHRONOUS, SYNCHRONOUS, augment, matrix_from_counts
 from .metrics import INDICATORS, REQUEST_KINDS, MetricRequest, evaluate
-from .report import build_report, format_ratio, render_csv, render_structured, render_table
+from .report import format_ratio, render_csv, render_structured, render_table
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -215,7 +215,8 @@ def cmd_report(args) -> int:
     (pub_lo, pub_hi), (cite_lo, cite_hi) = fixture.matrix.pub_years, fixture.matrix.cite_years
     if max(pub_hi, cite_hi) - min(pub_lo, cite_lo) >= MAX_LISTED:
         raise ParseError(f"a report lists each of its years, at most {MAX_LISTED}; this fixture spans more")
-    rows = build_report(fixture.matrix, fixture.sync, fixture.diach)
+    # Read only after both refusals, so a fixture they refuse builds no rows.
+    rows = fixture.report
     if args.format == "csv":
         sys.stdout.write(render_csv(rows))
     elif args.format == "structured":

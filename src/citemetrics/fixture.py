@@ -21,7 +21,8 @@ Unknown fields are rejected rather than ignored, so a typo in a hand-edited
 fixture fails loudly instead of silently dropping data.
 
 :func:`load_fixture` decodes and checks a file's bytes once per process:
-while they stay the same, it returns the fixture it built from them.
+while they stay the same, it returns the fixture it built from them, and
+with it the report rows that fixture built the first time it was asked.
 """
 
 from __future__ import annotations
@@ -31,10 +32,11 @@ import json
 import os
 from contextlib import suppress
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import starmap
 from pathlib import Path
 from types import MappingProxyType
-from typing import Any, Mapping
+from typing import TYPE_CHECKING, Any, Mapping
 
 from .errors import FixtureError
 from .matrix import (
@@ -49,6 +51,9 @@ from .matrix import (
     year_range,
 )
 from .metrics import _source_matrix
+
+if TYPE_CHECKING:
+    from .report import ReportRow
 
 # The field that holds each augmentation variant's unique-new block, in the
 # order a fixture lists them.
@@ -65,6 +70,18 @@ class MatrixFixture:
     matrix: PubCitMatrix
     sync: AugmentedMatrix | None = None
     diach: AugmentedMatrix | None = None
+
+    @cached_property
+    def report(self) -> tuple[ReportRow, ...]:
+        """The rows :func:`~citemetrics.report.build_report` gives for this
+        fixture, built the first time they are read and then kept with it
+        (a refusal is raised again on the next read, never kept). So the
+        maps must not change after that first read, as after a first window
+        sum."""
+        # Imported here, so that loading a fixture alone never loads the report.
+        from .report import build_report
+
+        return tuple(build_report(self.matrix, self.sync, self.diach))
 
 
 def _is_int(value: Any) -> bool:

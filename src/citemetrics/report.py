@@ -26,7 +26,7 @@ computed once, with the rounding of :func:`format_ratio`.
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
 from dataclasses import make_dataclass
 from operator import attrgetter
 
@@ -112,7 +112,7 @@ def build_report(
     return [ReportRow(*cells) for cells in zip(years, *(columns[request] for _, request, _ in _COLUMNS))]
 
 
-def _columns(rows: list[ReportRow]) -> list[list[str]]:
+def _columns(rows: Sequence[ReportRow]) -> list[list[str]]:
     """The text of each report column, a column at a time: the years, then
     each indicator column at its precision."""
     return [[str(row.year) for row in rows]] + [
@@ -120,14 +120,14 @@ def _columns(rows: list[ReportRow]) -> list[list[str]]:
     ]
 
 
-def render_csv(rows: list[ReportRow]) -> str:
+def render_csv(rows: Sequence[ReportRow]) -> str:
     """CSV text: header row, LF line endings, one trailing newline."""
     lines = [",".join(COLUMN_NAMES)]
     lines.extend(map(",".join, zip(*_columns(rows))))
     return "\n".join(lines) + "\n"
 
 
-def render_table(rows: list[ReportRow]) -> str:
+def render_table(rows: Sequence[ReportRow]) -> str:
     """Monospace-aligned table for terminals."""
     columns = _columns(rows)
     widths = [max(map(len, [name, *column])) for name, column in zip(COLUMN_NAMES, columns)]
@@ -136,7 +136,7 @@ def render_table(rows: list[ReportRow]) -> str:
     return "\n".join(out)
 
 
-def render_structured(rows: list[ReportRow]) -> dict:
+def render_structured(rows: Sequence[ReportRow]) -> dict:
     """JSON-ready shape keeping the exact fractions next to the rendering."""
     out_rows = []
     for row, _, *texts in zip(rows, *_columns(rows)):

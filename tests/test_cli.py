@@ -5,9 +5,10 @@ import tracemalloc
 
 import pytest
 
+from citemetrics import fixture
 from citemetrics.cli import build_parser, main
 from citemetrics.fixture import load_document, load_fixture
-from citemetrics.metrics import REQUEST_KINDS
+from citemetrics.metrics import REQUEST_KINDS, Indicator
 
 from conftest import DATA
 
@@ -384,6 +385,50 @@ class TestReport:
             f"citemetrics: bad fixture: {path} lacks the unique_new_sync/unique_new_diach blocks "
             "the report needs; regenerate it with 'citemetrics ingest'\n"
         )
+
+    def test_a_report_of_bytes_already_reported_computes_no_column(
+        self, tmp_path, decodes, monkeypatch, capsys, golden_report_csv
+    ):
+        """The rows are built once per loaded fixture: a later report of the
+        same bytes, in any format and from any path, renders them again
+        without a column call, and prints what an emptied slot prints."""
+        text = (DATA / "mjm_fixture.json").read_text()
+        path, same = tmp_path / "fx.json", tmp_path / "same.json"
+        path.write_text(text)
+        same.write_text(text)
+        calls = []
+        real = Indicator.column
+
+        def column(self, *args, **kwargs):
+            calls.append(self)
+            return real(self, *args, **kwargs)
+
+        monkeypatch.setattr(Indicator, "column", column)
+
+        def report(where, form):
+            calls.clear()
+            assert main(["report", "--matrix", str(where), "--format", form]) == 0
+            return capsys.readouterr().out
+
+        def emptied(where, form):
+            monkeypatch.setattr(fixture, "_last", None)
+            out = report(where, form)
+            assert len(calls) == 6
+            return out
+
+        expected = {form: emptied(path, form) for form in ("table", "structured")}
+        assert emptied(path, "csv") == golden_report_csv
+        for where in (path, same):
+            for form, out in expected.items():
+                assert report(where, form) == out
+                assert calls == []
+        assert len(decodes) == 3  # once per emptied slot
+
+        path.write_text(text.replace('"2008": 135', '"2008": 153'))
+        changed = report(path, "csv")
+        assert len(calls) == 6
+        assert changed.splitlines()[6].startswith("2009,0.34,0.34,")
+        assert changed == emptied(path, "csv")
 
 
 class TestUsage:

@@ -12,6 +12,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from citemetrics.errors import UndefinedMetricError
+from citemetrics.fixture import MatrixFixture
 from citemetrics.matrix import ROW, year_range
 from citemetrics.metrics import INDICATORS, Indicator, MetricRequest, evaluate, garfield_if, sync_if
 from citemetrics.report import (
@@ -90,8 +91,13 @@ def test_a_column_equals_its_years_evaluated_one_by_one(fixture, kind, data):
 
 @given(augmented_matrices())
 def test_a_report_cell_is_its_request_evaluated(fixture):
+    """Each cell of ``build_report`` is its request evaluated alone, and a
+    fixture's ``report`` holds those rows, built once."""
     matrix, _, _ = fixture
     rows = build_report(*fixture)
+    held = MatrixFixture(*fixture)
+    assert held.report == tuple(rows)
+    assert held.report is held.report
     years = set(year_range(matrix.pub_years)) | set(year_range(matrix.cite_years))
     assert [row.year for row in rows] == sorted(years)
     assert list(REPORT_REQUESTS) == list(COLUMN_NAMES[1:])

@@ -372,11 +372,14 @@ def test_the_old_fixture_is_freed_before_the_next_is_decoded(tmp_path, decodes, 
     first, second = tmp_path / "a.json", tmp_path / "b.json"
     first.write_text(json.dumps(_small_doc()))
     second.write_text(json.dumps(_small_doc()) + " ")
-    old = weakref.ref(load_fixture(first))
+    loaded = load_fixture(first)
+    old, row = weakref.ref(loaded), weakref.ref(loaded.report[-1])
+    del loaded
     counting = json.load
 
     def checking(*args, **kwargs):
         assert old() is None, "the previous fixture is still held"
+        assert row() is None, "the previous fixture's report rows are still held"
         return counting(*args, **kwargs)
 
     monkeypatch.setattr(json, "load", checking)
