@@ -6,8 +6,8 @@ publication ledger plus a clean set of citation events:
     parse_publications, parse_citations -> normalize_journal_names -> deduplicate_events
 
 :func:`index_citations` does the same work on the citations file in one
-pass and keeps only per-cell tallies; the step functions above are the
-reference it is tested against.
+pass and keeps only each cell's distinct events; the step functions above
+are the reference it is tested against.
 
 Citing-journal names arrive as free text, and distinct spellings of one
 journal would inflate every unique-journal indicator downstream, so names are
@@ -26,6 +26,7 @@ from __future__ import annotations
 import csv
 import string
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import IO, Iterable, Iterator, Mapping
 
 from .errors import AliasTableError, ParseError
@@ -81,8 +82,8 @@ def _table(stream: IO[str], what: str, layouts: tuple[tuple[str, ...], ...], exp
     """Read the header row of the ``what`` CSV, lower-cased, without a
     leading byte-order mark and trimmed on either side of it, and return the
     csv reader with the header, which must be one of ``layouts``. A record
-    the csv module refuses (an oversized field, say), here or in
-    :func:`_rows`, is a :class:`ParseError` at its line."""
+    the csv module refuses (an oversized field, say), here, in :func:`_rows`
+    or in :func:`_citation_rows`, is a :class:`ParseError` at its line."""
     reader = csv.reader(stream)
     try:
         header = tuple(cell.strip().lstrip("\ufeff").strip().lower() for cell in next(reader))
@@ -173,7 +174,11 @@ def parse_publications(stream: IO[str]) -> PublicationLedger:
 def _citation_rows(stream: IO[str]) -> Iterator[tuple[int, str, int, str, int, str | None]]:
     """Yield ``(line, cited_article_id, cited_pub_year, citing_journal_raw,
     citing_year, citing_article_id)`` for each data row of a citations CSV,
-    after every header, width, year and empty-field check."""
+    after every header, width, year and empty-field check.
+
+    The one place those checks live. It reads the csv reader itself, each
+    field trimmed where it is read, so a row costs no list of its own; blank
+    rows are skipped but still count as lines."""
     reader, header = _table(
         stream,
         "citations",
@@ -181,25 +186,36 @@ def _citation_rows(stream: IO[str]) -> Iterator[tuple[int, str, int, str, int, s
         "'cited_article_id,cited_pub_year,citing_journal,citing_year[,citing_article_id]'",
     )
     width = len(header)
+    with_id = width == 5
     # A corpus repeats a few dozen year strings over all its rows, so each
     # distinct string is checked and converted once.
     years: dict[str, int] = {}
-    for line, cells in _rows(reader, width):
-        cited_article_id, pub_text, journal, cite_text = cells[:4]
-        if not cited_article_id:
-            raise ParseError("cited_article_id is empty", line=line, column="cited_article_id")
-        cited_pub_year = years.get(pub_text)
-        if cited_pub_year is None:
-            cited_pub_year = _parse_year(pub_text, line=line, column="cited_pub_year")
-            years[pub_text] = cited_pub_year
-        if not journal:
-            raise ParseError("citing_journal is empty", line=line, column="citing_journal")
-        citing_year = years.get(cite_text)
-        if citing_year is None:
-            citing_year = _parse_year(cite_text, line=line, column="citing_year")
-            years[cite_text] = citing_year
-        citing_article_id = (cells[4] or None) if width == 5 else None
-        yield line, cited_article_id, cited_pub_year, journal, citing_year, citing_article_id
+    try:
+        for row in reader:
+            if len(row) != width:
+                if not row:
+                    continue
+                raise ParseError(f"expected {width} fields, got {len(row)}", line=reader.line_num)
+            cited_article_id = row[0].strip()
+            if not cited_article_id:
+                raise ParseError("cited_article_id is empty", line=reader.line_num, column="cited_article_id")
+            pub_text = row[1].strip()
+            cited_pub_year = years.get(pub_text)
+            if cited_pub_year is None:
+                cited_pub_year = _parse_year(pub_text, line=reader.line_num, column="cited_pub_year")
+                years[pub_text] = cited_pub_year
+            journal = row[2].strip()
+            if not journal:
+                raise ParseError("citing_journal is empty", line=reader.line_num, column="citing_journal")
+            cite_text = row[3].strip()
+            citing_year = years.get(cite_text)
+            if citing_year is None:
+                citing_year = _parse_year(cite_text, line=reader.line_num, column="citing_year")
+                years[cite_text] = citing_year
+            citing_article_id = (row[4].strip() or None) if with_id else None
+            yield reader.line_num, cited_article_id, cited_pub_year, journal, citing_year, citing_article_id
+    except csv.Error as exc:
+        raise ParseError(str(exc), line=reader.line_num) from None
 
 
 def parse_citations(stream: IO[str]) -> list[RawCitationRecord]:
@@ -331,11 +347,13 @@ class CitationIndex:
 
     ``cell_counts`` and ``cell_journals`` are keyed by (citing year, cited
     publication year) and cover every distinct event, including those whose
-    cell will fall outside the matrix; journals are interned ints, one per
-    canonical name. ``cite_years`` spans the citing years of those events
-    (None when there are none); ``backdated_lines`` lists, in file order,
-    the line of every row citing before its publication year, duplicates
-    included, as :func:`backdated_records` does.
+    cell will fall outside the matrix: a cell's count is the number of its
+    distinct events, and its journals are their citing journals, as
+    interned ints, one per canonical name. ``cite_years`` spans the citing
+    years of those events (None when there are none); ``backdated_lines``
+    lists, in file order, the line of every row citing before its
+    publication year, duplicates included, as :func:`backdated_records`
+    does.
     """
 
     rows: int
@@ -349,19 +367,25 @@ class CitationIndex:
 def index_citations(stream: IO[str], alias_table: Mapping[str, str] | None = None) -> CitationIndex:
     """Parse, normalize, deduplicate and tally a citations CSV in one pass.
 
-    Reads each row once and keeps only per-cell tallies, not the rows: the
-    same result as :func:`parse_citations`, :func:`normalize_journal_names`,
-    :func:`deduplicate_events` and :func:`backdated_records` in sequence,
-    which remain the reference it is tested against. Every check and
+    Reads each row once and keeps, per (citing year, publication year)
+    cell, the set of its distinct events, ``(cited, journal, citing_id)``:
+    the cell and those three fields are every field of an event, and every
+    count the matrix and its augmentations take is of one cell's distinct
+    events or journals. There is no set of every row. After the pass each
+    cell's set is popped as it is tallied into its count and its journals.
+
+    The same result as :func:`parse_citations`,
+    :func:`normalize_journal_names`, :func:`deduplicate_events` and
+    :func:`backdated_records` in sequence, which remain the reference it is
+    tested against. Every check and
     message is theirs, in the same order: a row whose journal name
     normalizes to empty is reported only after the whole file has parsed.
     """
     overrides = _normalize_alias_table(alias_table) if alias_table else {}
     journal_ids: dict[str, int] = {}  # canonical name -> interned id
     spellings: dict[str, int] = {}  # raw spelling -> interned id
-    seen: set[tuple] = set()
-    counts: dict[tuple[int, int], int] = {}
-    journals: dict[tuple[int, int], set[int]] = {}
+    # Each cell's distinct events, (cited, journal, citing_id).
+    cells: dict[tuple[int, int], set[tuple[str, int, str | None]]] = {}
     backdated: list[int] = []
     rows = 0
     empty_line = None
@@ -378,25 +402,25 @@ def index_citations(stream: IO[str], alias_table: Mapping[str, str] | None = Non
                     empty_line = line
                 continue
             journal = spellings[raw] = journal_ids.setdefault(canonical, len(journal_ids))
-        key = (cited, pub_year, journal, cite_year, citing_id)
-        if key in seen:
-            continue
-        seen.add(key)
         cell = (cite_year, pub_year)
-        here = journals.get(cell)
-        if here is None:
-            counts[cell] = 1
-            journals[cell] = {journal}
+        events = cells.get(cell)
+        if events is None:
+            cells[cell] = {(cited, journal, citing_id)}
         else:
-            counts[cell] += 1
-            here.add(journal)
+            events.add((cited, journal, citing_id))
     if empty_line is not None:
         raise ParseError(
             "journal name is empty after normalization", line=empty_line, column="citing_journal"
         )
+    counts: dict[tuple[int, int], int] = {}
+    journals: dict[tuple[int, int], set[int]] = {}
+    for cell in list(cells):
+        events = cells.pop(cell)  # freed as the tallies grow
+        counts[cell] = len(events)
+        journals[cell] = set(map(itemgetter(1), events))
     return CitationIndex(
         rows=rows,
-        duplicates=rows - len(seen),
+        duplicates=rows - sum(counts.values()),
         backdated_lines=backdated,
         cite_years=(min(counts)[0], max(counts)[0]) if counts else None,
         cell_counts=counts,

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from collections import Counter, defaultdict
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from functools import cached_property
 from itertools import accumulate, chain, repeat, zip_longest
 from operator import itemgetter
@@ -76,7 +76,9 @@ class Window:
     citation years ``years``. ``years`` is a run of consecutive years in
     reading order, a range of step 1 or -1, so the window costs the same
     whatever its length: its cells are made only as they are read. It
-    compares and hashes equal to the tuple of its cells.
+    compares and hashes equal to the tuple of its cells, and it is
+    immutable: assigning or deleting an attribute raises, as on a frozen
+    dataclass, so a window a loaded fixture's report holds stays as built.
     """
 
     __slots__ = ("axis", "line", "years")
@@ -86,7 +88,20 @@ class Window:
             raise ValueError(f"unknown window axis {axis!r}")
         if years.step not in (1, -1):
             raise ValueError(f"window years {years!r} are not a run of consecutive years")
-        self.axis, self.line, self.years = axis, line, years
+        _set_axis(self, axis)
+        _set_line(self, line)
+        _set_years(self, years)
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        # copy and pickle rebuild a window through its constructor, not by
+        # setting its slots.
+        return Window, (self.axis, self.line, self.years)
 
     def __len__(self) -> int:
         return len(self.years)
@@ -123,6 +138,21 @@ class Window:
         return f"Window({self.axis!r}, {self.line!r}, {self.years!r})"
 
 
+# The slots' own setters: the only writes a Window or a YearRuns takes.
+_set_axis, _set_line, _set_years = (Window.__dict__[name].__set__ for name in Window.__slots__)
+
+
+def _window(axis: str, line: int, years: range) -> Window:
+    """A :class:`Window` on ``axis`` over ``years``, a run of step 1 or -1,
+    that the caller has already made so: built without ``Window``'s checks.
+    :func:`metrics._line_windows` builds every window of a column here."""
+    window = object.__new__(Window)
+    _set_axis(window, axis)
+    _set_line(window, line)
+    _set_years(window, years)
+    return window
+
+
 class YearRuns:
     """Years held as a few runs of consecutive years, each a range in
     reading order.
@@ -133,12 +163,19 @@ class YearRuns:
     ``str()`` is the runs ascending, ``"2002–2003, 2011"``: the runs text of
     the sorted years when no two runs overlap or touch, as for the two runs a
     window misses, one on each side of the span. Empty runs are dropped.
+    Like :class:`Window` it is immutable.
     """
 
     __slots__ = ("runs",)
 
     def __init__(self, *runs: range):
-        self.runs = tuple(filter(None, runs))
+        _set_runs(self, tuple(filter(None, runs)))
+
+    __setattr__ = Window.__setattr__
+    __delattr__ = Window.__delattr__
+
+    def __reduce__(self):
+        return YearRuns, self.runs
 
     def __len__(self) -> int:
         return sum(map(len, self.runs))
@@ -172,6 +209,9 @@ class YearRuns:
     def __str__(self) -> str:
         ends = sorted((run[0], run[-1]) if run.step > 0 else (run[-1], run[0]) for run in self.runs)
         return ", ".join(str(lo) if lo == hi else f"{lo}–{hi}" for lo, hi in ends)
+
+
+_set_runs = YearRuns.__dict__["runs"].__set__
 
 
 class _LineTotals:

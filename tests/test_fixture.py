@@ -387,6 +387,24 @@ def test_the_old_fixture_is_freed_before_the_next_is_decoded(tmp_path, decodes, 
     assert len(decodes) == 2
 
 
+def test_a_shared_report_row_cannot_be_rewritten(tmp_path, decodes):
+    """A loaded fixture's report rows are handed to every caller that loads
+    the same bytes, so no caller may change what the next one reads."""
+    path = tmp_path / "mjm.json"
+    path.write_bytes((DATA / "mjm_fixture.json").read_bytes())
+    first = load_fixture(path)
+    value = first.report[3].sync_rdf_max
+    cells = tuple(value.effective_window)
+    with pytest.raises(AttributeError):
+        value.effective_window.line = 1900
+    with pytest.raises(AttributeError):
+        del value.effective_window.years
+    second = load_fixture(path)
+    assert second is first and len(decodes) == 1
+    assert second.report[3].sync_rdf_max is value
+    assert tuple(value.effective_window) == cells and cells[0] == (2007, 2007)
+
+
 @pytest.mark.parametrize(
     "bad",
     [

@@ -1,6 +1,8 @@
 """``citemetrics ingest`` reads each citation row once; the library's step
 functions, run one after another, are the reference it must reproduce: the
-same fixture bytes, the same stdout, the same error."""
+same fixture bytes, the same stdout, the same error. Both read the file
+through ``_citation_rows``, so the property also holds what the step
+functions parse to the fields and lines the test wrote."""
 
 import csv
 import io
@@ -25,11 +27,14 @@ from citemetrics.ingest import (
 )
 from citemetrics.matrix import augment_diachronous, augment_synchronous, build_pc_matrix
 
+PAD = st.sampled_from(("", " ", "  "))
+
 HEADER = ["cited_article_id", "cited_pub_year", "citing_journal", "citing_year", "citing_article_id"]
 
-# Every journal under three spellings that normalize alike.
+# Every journal under four spellings that normalize alike; the csv writer
+# quotes the last, whose newline makes its record two physical lines.
 SPELLINGS = {
-    name: (name, name.upper() + ".", f"  {name.lower()}  ;")
+    name: (name, name.upper() + ".", f"  {name.lower()}  ;", f"{name}\n;")
     for name in ("Lancet", "Gut", "Med J Malaysia", "BMJ")
 }
 JOURNAL_OF = {spelling: name for name, spellings in SPELLINGS.items() for spelling in spellings}
@@ -71,6 +76,14 @@ def corpora(draw):
         if draw(st.integers(0, 9)) == 7:
             for index in draw(st.lists(st.integers(0, len(rows) - 1), min_size=1, max_size=3)):
                 rows[index][2] = draw(st.sampled_from(("...", " ; ")))  # empty once normalized
+        if draw(st.booleans()):
+            # Spaces around every field; an id of spaces alone is unknown.
+            for row in rows:
+                row[:] = [f"{draw(PAD)}{cell}{draw(PAD)}" for cell in row]
+        if draw(st.integers(0, 4)) == 4:
+            rows += [list(row) for row in rows]  # the whole corpus, twice
+        for _ in range(draw(st.integers(0, 3))):
+            rows.insert(draw(st.integers(0, len(rows))), [])  # a blank row
     aliases = draw(st.none() | st.lists(st.sampled_from(ALIAS_ROWS), unique=True))
     no_pubs = draw(st.integers(0, 9)) == 7
     pubs = draw(
@@ -84,6 +97,22 @@ def _write_csv(path, header, rows):
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)
+
+
+def _written_records(width, rows):
+    """What parse_citations must read from ``rows`` as _write_csv writes
+    them: per data row, the line its record ends on, then its trimmed
+    fields, years as ints and an empty citing_article_id as None."""
+    records, line = [], 1  # the header
+    for row in rows:
+        text = io.StringIO()
+        csv.writer(text, lineterminator="\n").writerow(row)
+        line += text.getvalue().count("\n")
+        if row:
+            cells = [cell.strip() for cell in row]
+            citing_id = (cells[4] or None) if width == 5 else None
+            records.append((line, cells[0], int(cells[1]), cells[2], int(cells[3]), citing_id))
+    return records
 
 
 def _read(path, parse):
@@ -151,7 +180,11 @@ def _outcome(run, pubs, cites, aliases, out):
     return result, written
 
 
-@settings(max_examples=150, deadline=None)
+# 150 examples by default, 1,000 under --hypothesis-profile=fuzz.
+EXAMPLES = settings(max_examples=max(150, settings.default.max_examples // 10), deadline=None)
+
+
+@EXAMPLES
 @given(corpora())
 def test_single_pass_ingest_matches_the_step_functions(corpus):
     width, rows, alias_rows, pub_counts = corpus
@@ -165,6 +198,11 @@ def test_single_pass_ingest_matches_the_step_functions(corpus):
         if alias_rows is not None:
             aliases = os.path.join(tmp, "aliases.csv")
             _write_csv(aliases, ["raw", "canonical"], alias_rows)
+        records = _read(cites, parse_citations)
+        assert [
+            (r.source_line, r.cited_article_id, r.cited_pub_year, r.citing_journal_raw, r.citing_year, r.citing_article_id)
+            for r in records
+        ] == _written_records(width, rows)
         expected = _outcome(reference_ingest, pubs, cites, aliases, out)
         got = _outcome(_cli_ingest, pubs, cites, aliases, out)
         assert got == expected

@@ -6,6 +6,8 @@ a ``Window`` (axis, line, range of years) and the years it misses as a
 the indicators once did, and sums cell by cell.
 """
 
+import copy
+import pickle
 import random
 from collections import Counter
 from collections.abc import Mapping
@@ -240,6 +242,25 @@ class TestWindowValue:
         assert Window(ROW, 2006, range(2004, 2005)) == Window(COLUMN, 2004, range(2006, 2007))
         assert Window(ROW, 2006, range(0)) == Window(COLUMN, 1999, range(5, 5)) == ()
         assert not Window(ROW, 2006, range(0))
+
+    def test_a_window_and_its_year_runs_are_immutable(self):
+        window = Window(COLUMN, 2004, range(2005, 2008))
+        runs = YearRuns(range(2002, 2004), range(2011, 2012))
+        for value, name in ((window, "axis"), (window, "line"), (window, "years"), (runs, "runs")):
+            before = getattr(value, name)
+            with pytest.raises(AttributeError, match=f"cannot assign to field '{name}'"):
+                setattr(value, name, before)
+            with pytest.raises(AttributeError, match=f"cannot delete field '{name}'"):
+                delattr(value, name)
+            assert getattr(value, name) == before
+        with pytest.raises(AttributeError):
+            window.cells = ()
+        assert window == ((2005, 2004), (2006, 2004), (2007, 2004)) and runs == [2002, 2003, 2011]
+        assert {window: 1}[((2005, 2004), (2006, 2004), (2007, 2004))] == 1
+        assert {runs: 1}[(2002, 2003, 2011)] == 1
+        for copied in (copy.copy, copy.deepcopy, lambda value: pickle.loads(pickle.dumps(value))):
+            assert repr(copied(window)) == repr(window) and copied(window) == window
+            assert repr(copied(runs)) == repr(runs) and copied(runs) == runs
 
     def test_an_unknown_axis_is_refused(self):
         with pytest.raises(ValueError, match="axis"):
