@@ -97,15 +97,16 @@ def _table(stream: IO[str], what: str, layouts: tuple[tuple[str, ...], ...], exp
 
 
 def _rows(reader, width: int) -> Iterator[tuple[int, list[str]]]:
-    """Yield ``(line, trimmed cells)`` for each non-empty row, which must have
-    ``width`` fields. Blank rows are skipped but still count as lines."""
+    """Yield ``(line, row)`` for each non-empty row, which must have ``width``
+    fields. The fields are untrimmed: each caller trims those it reads.
+    Blank rows are skipped but still count as lines."""
     try:
         for row in reader:
-            if row:
-                cells = [cell.strip() for cell in row]
-                if len(cells) != width:
-                    raise ParseError(f"expected {width} fields, got {len(cells)}", line=reader.line_num)
-                yield reader.line_num, cells
+            if len(row) != width:
+                if not row:
+                    continue
+                raise ParseError(f"expected {width} fields, got {len(row)}", line=reader.line_num)
+            yield reader.line_num, row
     except csv.Error as exc:
         raise ParseError(str(exc), line=reader.line_num) from None
 
@@ -151,20 +152,21 @@ def parse_publications(stream: IO[str]) -> PublicationLedger:
     per_article = header == PUBLICATIONS_ARTICLE_HEADER
     counts: dict[int, int] = {}
     articles: set[str] = set()
-    for line, cells in _rows(reader, 2):
+    for line, (first, second) in _rows(reader, 2):
+        first, second = first.strip(), second.strip()
         if per_article:
-            if not cells[0]:
+            if not first:
                 raise ParseError("article_id is empty", line=line, column="article_id")
-            if cells[0] in articles:
-                raise ParseError(f"duplicate article_id {cells[0]!r}", line=line, column="article_id")
-            articles.add(cells[0])
-            year = _parse_year(cells[1], line=line, column="year")
+            if first in articles:
+                raise ParseError(f"duplicate article_id {first!r}", line=line, column="article_id")
+            articles.add(first)
+            year = _parse_year(second, line=line, column="year")
             counts[year] = counts.get(year, 0) + 1
         else:
-            year = _parse_year(cells[0], line=line, column="year")
+            year = _parse_year(first, line=line, column="year")
             if year in counts:
                 raise ParseError(f"duplicate year {year}", line=line, column="year")
-            counts[year] = _parse_count(cells[1], line=line, column="count")
+            counts[year] = _parse_count(second, line=line, column="count")
     if counts:
         lo, hi = min(counts), max(counts)
         counts = {y: counts.get(y, 0) for y in range(lo, hi + 1)}
@@ -176,9 +178,9 @@ def _citation_rows(stream: IO[str]) -> Iterator[tuple[int, str, int, str, int, s
     citing_year, citing_article_id)`` for each data row of a citations CSV,
     after every header, width, year and empty-field check.
 
-    The one place those checks live. It reads the csv reader itself, each
-    field trimmed where it is read, so a row costs no list of its own; blank
-    rows are skipped but still count as lines."""
+    The one place those checks live. It reads each row of :func:`_rows`
+    in place, each field trimmed where it is read, so a row costs no list
+    of its own."""
     reader, header = _table(
         stream,
         "citations",
@@ -190,32 +192,25 @@ def _citation_rows(stream: IO[str]) -> Iterator[tuple[int, str, int, str, int, s
     # A corpus repeats a few dozen year strings over all its rows, so each
     # distinct string is checked and converted once.
     years: dict[str, int] = {}
-    try:
-        for row in reader:
-            if len(row) != width:
-                if not row:
-                    continue
-                raise ParseError(f"expected {width} fields, got {len(row)}", line=reader.line_num)
-            cited_article_id = row[0].strip()
-            if not cited_article_id:
-                raise ParseError("cited_article_id is empty", line=reader.line_num, column="cited_article_id")
-            pub_text = row[1].strip()
-            cited_pub_year = years.get(pub_text)
-            if cited_pub_year is None:
-                cited_pub_year = _parse_year(pub_text, line=reader.line_num, column="cited_pub_year")
-                years[pub_text] = cited_pub_year
-            journal = row[2].strip()
-            if not journal:
-                raise ParseError("citing_journal is empty", line=reader.line_num, column="citing_journal")
-            cite_text = row[3].strip()
-            citing_year = years.get(cite_text)
-            if citing_year is None:
-                citing_year = _parse_year(cite_text, line=reader.line_num, column="citing_year")
-                years[cite_text] = citing_year
-            citing_article_id = (row[4].strip() or None) if with_id else None
-            yield reader.line_num, cited_article_id, cited_pub_year, journal, citing_year, citing_article_id
-    except csv.Error as exc:
-        raise ParseError(str(exc), line=reader.line_num) from None
+    for line, row in _rows(reader, width):
+        cited_article_id = row[0].strip()
+        if not cited_article_id:
+            raise ParseError("cited_article_id is empty", line=line, column="cited_article_id")
+        pub_text = row[1].strip()
+        cited_pub_year = years.get(pub_text)
+        if cited_pub_year is None:
+            cited_pub_year = _parse_year(pub_text, line=line, column="cited_pub_year")
+            years[pub_text] = cited_pub_year
+        journal = row[2].strip()
+        if not journal:
+            raise ParseError("citing_journal is empty", line=line, column="citing_journal")
+        cite_text = row[3].strip()
+        citing_year = years.get(cite_text)
+        if citing_year is None:
+            citing_year = _parse_year(cite_text, line=line, column="citing_year")
+            years[cite_text] = citing_year
+        citing_article_id = (row[4].strip() or None) if with_id else None
+        yield line, cited_article_id, cited_pub_year, journal, citing_year, citing_article_id
 
 
 def parse_citations(stream: IO[str]) -> list[RawCitationRecord]:
@@ -267,6 +262,7 @@ def load_alias_table(stream: IO[str]) -> dict[str, str]:
     table: dict[str, str] = {}
     lines: dict[str, int] = {}  # each raw spelling's first line
     for line, (raw, canonical) in _rows(reader, 2):
+        raw, canonical = raw.strip(), canonical.strip()
         if not raw:
             raise ParseError("raw name is empty", line=line, column="raw")
         if not canonical:

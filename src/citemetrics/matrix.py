@@ -142,17 +142,6 @@ class Window:
 _set_axis, _set_line, _set_years = (Window.__dict__[name].__set__ for name in Window.__slots__)
 
 
-def _window(axis: str, line: int, years: range) -> Window:
-    """A :class:`Window` on ``axis`` over ``years``, a run of step 1 or -1,
-    that the caller has already made so: built without ``Window``'s checks.
-    :func:`metrics._line_windows` builds every window of a column here."""
-    window = object.__new__(Window)
-    _set_axis(window, axis)
-    _set_line(window, line)
-    _set_years(window, years)
-    return window
-
-
 class YearRuns:
     """Years held as a few runs of consecutive years, each a range in
     reading order.

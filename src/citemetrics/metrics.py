@@ -49,7 +49,6 @@ from .matrix import (
     Window,
     YearRuns,
     YearSpan,
-    _window,
     distinct_journals_block,
     year_range,
 )
@@ -150,7 +149,7 @@ def _line_windows(
     # Unclipped, a window of a set length is defined only if nothing was cut.
     whole = not clip and window is not None
     return [
-        _window(axis, line, run)
+        Window(axis, line, run)
         if run and not (whole and (run[0] != start or run[-1] != end))
         else _window_refusal(axis, span, start, end, run, window, clip)
         for line, start, end, run in zip(lines, starts, ends, runs)
