@@ -220,7 +220,7 @@ def cmd_report(args) -> int:
     if args.format == "csv":
         sys.stdout.write(render_csv(rows))
     elif args.format == "structured":
-        print(json.dumps(render_structured(rows)))
+        print(render_structured(rows))
     else:
         print(render_table(rows))
     return EXIT_OK

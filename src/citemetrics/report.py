@@ -15,7 +15,7 @@ diach_jdf_max         diachronous journal diffusion, largest window
 
 Cells round half-up at two decimals, except sync_jdf_max at three (its
 values sit an order of magnitude lower). Undefined cells render as ``x`` in
-every output format.
+the csv and table text and as ``null`` in the structured JSON.
 
 Each column is one :meth:`~citemetrics.metrics.Indicator.column` over the
 report's years. garfield_if is sync_if over the two prior years without
@@ -26,6 +26,7 @@ computed once, with the rounding of :func:`format_ratio`.
 
 from __future__ import annotations
 
+import json
 from collections.abc import Iterable, Sequence
 from dataclasses import make_dataclass
 from operator import attrgetter
@@ -49,6 +50,7 @@ _COLUMNS = (
     ("diach_jdf_max", ("diach_jdf", None, 1, True), 2),
 )
 COLUMN_NAMES = ("year",) + tuple(name for name, _, _ in _COLUMNS)
+_STRUCTURED_HEAD = f'{{"columns": {json.dumps(list(COLUMN_NAMES))}, "rows": ['
 
 ReportRow = make_dataclass(
     "ReportRow",
@@ -136,17 +138,21 @@ def render_table(rows: Sequence[ReportRow]) -> str:
     return "\n".join(out)
 
 
-def render_structured(rows: Sequence[ReportRow]) -> dict:
-    """JSON-ready shape keeping the exact fractions next to the rendering."""
-    out_rows = []
-    for row, _, *texts in zip(rows, *_columns(rows)):
-        cells: dict = {"year": row.year}
-        for (name, _, _), text in zip(_COLUMNS, texts):
-            value = getattr(row, name)
-            cells[name] = (
-                None
-                if value is None
-                else {"value": text, "numerator": value.numerator, "denominator": value.denominator}
-            )
-        out_rows.append(cells)
-    return {"columns": list(COLUMN_NAMES), "rows": out_rows}
+def render_structured(rows: Sequence[ReportRow]) -> str:
+    """The JSON text of the report, keeping each value's exact fraction next
+    to its rendering: one object, no trailing newline, written as
+    ``json.dumps`` writes ``{"columns": [...], "rows": [...]}``. Each row
+    maps ``year`` to its year and each column to ``null`` where undefined,
+    else to ``{"value": text, "numerator": n, "denominator": d}``. Written a
+    column at a time from the texts of :func:`_columns`, one f-string a
+    cell; ``json.loads`` gives the dict back."""
+    years, *columns = _columns(rows)
+    cells = [[f'{{"year": {year}' for year in years]]
+    for (name, _, _), texts in zip(_COLUMNS, columns):
+        cells.append([
+            f'"{name}": null'
+            if value is None
+            else f'"{name}": {{"value": "{text}", "numerator": {value.numerator}, "denominator": {value.denominator}}}'
+            for value, text in zip(map(attrgetter(name), rows), texts)
+        ])
+    return _STRUCTURED_HEAD + ", ".join([f'{", ".join(line)}}}' for line in zip(*cells)]) + "]}"

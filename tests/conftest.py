@@ -32,6 +32,13 @@ def golden_report_csv():
     return (DATA / "mjm_report_golden.csv").read_text()
 
 
+@pytest.fixture(scope="session")
+def golden_report_json():
+    """stdout of ``citemetrics report --format structured`` on the bundled
+    sample, byte for byte."""
+    return (DATA / "mjm_report_golden.json").read_text()
+
+
 @pytest.fixture()
 def decodes(monkeypatch):
     """Empty load_fixture's slot, then count the JSON documents it decodes

@@ -352,6 +352,10 @@ class TestReport:
         assert main(["report", "--matrix", MJM, "--format", "csv"]) == 0
         assert capsys.readouterr().out == golden_report_csv
 
+    def test_structured_format_matches_the_golden_file(self, capsys, golden_report_json):
+        assert main(["report", "--matrix", MJM, "--format", "structured"]) == 0
+        assert capsys.readouterr().out == golden_report_json
+
     def test_table_format_has_header_and_rows(self, capsys):
         assert main(["report", "--matrix", MJM]) == 0
         lines = capsys.readouterr().out.strip().split("\n")

@@ -7,8 +7,10 @@ year evaluated alone, and the report, which is six columns, to the request
 each of its cells names.
 """
 
+import json
+
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from citemetrics.errors import UndefinedMetricError
@@ -199,7 +201,7 @@ def test_every_rendered_cell_is_its_value_at_its_column_precision(fixture):
     assert table[0].split() == list(COLUMN_NAMES) and len(table) == len(rows) + 2
     assert [line.split() for line in table[2:]] == texts
     assert len({len(line) for line in table}) == 1
-    structured = render_structured(rows)
+    structured = json.loads(render_structured(rows))
     assert structured["columns"] == list(COLUMN_NAMES)
     for row, cells, line in zip(rows, structured["rows"], texts, strict=True):
         assert list(cells) == list(COLUMN_NAMES) and cells["year"] == row.year
@@ -209,3 +211,29 @@ def test_every_rendered_cell_is_its_value_at_its_column_precision(fixture):
                 assert cells[name] is None
             else:
                 assert cells[name] == {"value": text, "numerator": value.numerator, "denominator": value.denominator}
+
+
+# 2,000 examples under the fuzz profile, 100 in tier-1.
+@settings(max_examples=max(100, settings.default.max_examples // 5), deadline=None)
+@given(augmented_matrices())
+def test_the_structured_report_is_json_dumps_of_its_documented_shape(fixture):
+    """``render_structured`` writes its text itself, so its separators,
+    ``null`` and integers are held here, byte for byte, to ``json.dumps`` of
+    the documented shape, built from each cell's own numerator and
+    denominator and its ``format_ratio`` text at the column's precision."""
+    rows = build_report(*fixture)
+
+    def cell(value, precision):
+        if value is None:
+            return None
+        text = format_ratio(value.numerator, value.denominator, precision)
+        return {"value": text, "numerator": value.numerator, "denominator": value.denominator}
+
+    shape = {
+        "columns": list(COLUMN_NAMES),
+        "rows": [
+            {"year": row.year} | {name: cell(getattr(row, name), PRECISION[name]) for name in REPORT_REQUESTS}
+            for row in rows
+        ],
+    }
+    assert render_structured(rows) == json.dumps(shape)

@@ -91,7 +91,7 @@ def test_all_formats_show_the_same_cells(mjm_rows):
     table_lines = render_table(mjm_rows).split("\n")
     table_cells = [line.split() for line in table_lines[2:]]  # skip header + rule
 
-    structured = render_structured(mjm_rows)
+    structured = json.loads(render_structured(mjm_rows))
     structured_cells = [
         [str(row["year"])]
         + [("x" if row[name] is None else row[name]["value"]) for name in COLUMN_NAMES[1:]]
@@ -102,8 +102,7 @@ def test_all_formats_show_the_same_cells(mjm_rows):
 
 
 def test_structured_output_is_json_ready(mjm_rows):
-    structured = render_structured(mjm_rows)
-    parsed = json.loads(json.dumps(structured))
+    parsed = json.loads(render_structured(mjm_rows))
     assert parsed["columns"] == list(COLUMN_NAMES)
     cell = parsed["rows"][2]["sync_rdf_max"]
     assert (cell["numerator"], cell["denominator"], cell["value"]) == (83, 109, "0.76")
