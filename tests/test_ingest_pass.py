@@ -180,6 +180,20 @@ def _outcome(run, pubs, cites, aliases, out):
     return result, written
 
 
+def _write_corpus(tmp, width, rows, alias_rows, pub_counts):
+    """Write a drawn corpus's CSVs into ``tmp``: the paths of its
+    publications, citations and alias files (None without aliases) and of
+    the fixture to write."""
+    pubs, cites, out = (os.path.join(tmp, name) for name in ("pubs.csv", "cites.csv", "fx.json"))
+    _write_csv(pubs, ["year", "count"], [(f"{year:04}", n) for year, n in sorted(pub_counts.items())])
+    _write_csv(cites, HEADER[:width], rows)
+    aliases = None
+    if alias_rows is not None:
+        aliases = os.path.join(tmp, "aliases.csv")
+        _write_csv(aliases, ["raw", "canonical"], alias_rows)
+    return pubs, cites, aliases, out
+
+
 # 150 examples by default, 1,000 under --hypothesis-profile=fuzz.
 EXAMPLES = settings(max_examples=max(150, settings.default.max_examples // 10), deadline=None)
 
@@ -189,15 +203,7 @@ EXAMPLES = settings(max_examples=max(150, settings.default.max_examples // 10), 
 def test_single_pass_ingest_matches_the_step_functions(corpus):
     width, rows, alias_rows, pub_counts = corpus
     with tempfile.TemporaryDirectory() as tmp:
-        pubs, cites, out = (
-            os.path.join(tmp, name) for name in ("pubs.csv", "cites.csv", "fx.json")
-        )
-        _write_csv(pubs, ["year", "count"], sorted(pub_counts.items()))
-        _write_csv(cites, HEADER[:width], rows)
-        aliases = None
-        if alias_rows is not None:
-            aliases = os.path.join(tmp, "aliases.csv")
-            _write_csv(aliases, ["raw", "canonical"], alias_rows)
+        pubs, cites, aliases, out = _write_corpus(tmp, width, rows, alias_rows, pub_counts)
         records = _read(cites, parse_citations)
         assert [
             (r.source_line, r.cited_article_id, r.cited_pub_year, r.citing_journal_raw, r.citing_year, r.citing_article_id)
@@ -231,3 +237,58 @@ def test_years_whose_digits_run_together_alike_are_two_rows():
     (code, stdout, _), written = got
     assert code == 0 and "citation rows parsed: 2\nduplicate rows removed: 0\n" in stdout
     assert json.loads(written)["citations"] == [[5, 420, 1], [205, 4, 1]]
+
+
+def _ingest_and_report(tmp, width, rows, alias_rows, pub_counts):
+    """The ingest's (exit code, stdout, stderr) and, when it wrote a
+    fixture, the csv report's rows split into fields."""
+    pubs, cites, aliases, out = _write_corpus(tmp, width, rows, alias_rows, pub_counts)
+    ingest = _cli_ingest(pubs, cites, aliases, out)
+    if ingest[0]:
+        return ingest, None
+    report = io.StringIO()
+    with redirect_stdout(report):
+        assert main(["report", "--matrix", out, "--format", "csv"]) == 0
+    return ingest, [line.split(",") for line in report.getvalue().splitlines()[1:]]
+
+
+def _moved(cell, shift):
+    """A year field moved by ``shift``, with its padding and 4 digits."""
+    year = cell.strip()
+    return cell.replace(year, f"{int(year) + shift:04}")
+
+
+# The report columns that read no citation year past their row's: garfield_if,
+# sync_if2, sync_rdf_max and sync_jdf_max.
+SYNCHRONOUS = (1, 2, 4, 6)
+DIACH_IF2S1 = 3
+
+
+@settings(max_examples=max(20, settings.default.max_examples // 5), deadline=None)
+@given(corpora(), st.integers(-4, 9999 - 2008))
+def test_moved_years_move_the_report_and_a_later_year_changes_no_earlier_cell(corpus, shift):
+    """(a) Every year moved by ``shift``, all still of 4 digits, moves each
+    report row by ``shift`` and changes no cell. (b) The last citing year's
+    rows again, a year later, change no earlier year's synchronous cells,
+    nor a diach_if2s1 cell whose window ends by that last year. Neither
+    relation needs a second implementation to compare with."""
+    width, rows, alias_rows, pub_counts = corpus
+    with tempfile.TemporaryDirectory() as tmp:
+        ingest, report = _ingest_and_report(tmp, width, rows, alias_rows, pub_counts)
+        moved_rows = [[_moved(cell, shift) if index in (1, 3) else cell for index, cell in enumerate(row)] for row in rows]
+        moved_pubs = {year + shift: n for year, n in pub_counts.items()}
+        moved = _ingest_and_report(tmp, width, moved_rows, alias_rows, moved_pubs)
+        expected = None if report is None else [[str(int(year) + shift), *cells] for year, *cells in report]
+        assert moved == (ingest, expected)
+        data = [row for row in rows if row]
+        if report is None or not data:
+            return
+        last = max(int(row[3]) for row in data)
+        later = [row[:3] + [_moved(row[3], 1)] + row[4:] for row in data if int(row[3]) == last]
+        _, extended = _ingest_and_report(tmp, width, rows + later, alias_rows, pub_counts)
+    after = {int(row[0]): row for row in extended}
+    for row in report:
+        year = int(row[0])
+        if year <= last:
+            columns = SYNCHRONOUS + ((DIACH_IF2S1,) if year + 2 <= last else ())
+            assert [row[i] for i in columns] == [after[year][i] for i in columns], year

@@ -45,10 +45,11 @@ def _limits():
     resource.setrlimit(resource.RLIMIT_CPU, (CPU_SECONDS, CPU_SECONDS))
 
 
-def run_limited(*argv):
+def run_limited(*argv, cwd=None):
     """``(exit code, stdout, stderr lines, peak resident kB or None)``."""
     proc = subprocess.run(
         [sys.executable, "-c", CHILD, *argv],
+        cwd=cwd,
         env={**os.environ, "PYTHONPATH": str(SRC)},
         preexec_fn=_limits,
         capture_output=True,
